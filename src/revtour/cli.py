@@ -22,7 +22,7 @@ from .enumeration import (
     enumerate_families,
 )
 from .pairs import PairFamily, classify, is_irreducible_pairing, is_irreducible_quasi
-from .theorems import corollaries_range, verify_range
+from .theorems import verify_range
 
 
 class _InputError(ValueError):
@@ -148,10 +148,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range)
     limit = _effective_guard(args, PARTIAL_ENUM_LIMIT)
-    if args.theorem == "corollaries":
-        report = corollaries_range(lo, hi, max_n=limit)
-    else:
-        report = verify_range(int(args.theorem), lo, hi, jobs=args.jobs, max_n=limit)
+    theorem = args.theorem if args.theorem == "corollaries" else int(args.theorem)
+    report = verify_range(theorem, lo, hi, jobs=args.jobs, max_n=limit)
     print(json.dumps(report.to_json()))
     return 0 if report.passed else 2
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from .pairs import _normalize
+
 # Largest n accepted by subset-scanning oracles (2^n subsets).
 SUBSET_SCAN_LIMIT = 20
 # Largest n accepted by permutation-scanning operations (n! relabelings).
@@ -134,27 +136,13 @@ def _mask_vertices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _normalized_pairs(n: int, pairs: Iterable) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for pair in pairs:
-        x, y = pair
-        if x == y:
-            raise ValueError(f"pair endpoints must differ: {pair!r}")
-        if x > y:
-            x, y = y, x
-        if not 0 <= x or not y < n:
-            raise ValueError(f"pair {pair!r} out of range 0..{n - 1}")
-        out.add((x, y))
-    return out
-
-
 def reverse_pairs(t: Tournament, pairs: Iterable) -> Tournament:
     """Flip the arc inside every listed pair, leaving all other arcs alone.
 
     Applying the same pair set twice restores the original tournament.
     """
     mask = 0
-    for x, y in _normalized_pairs(t.n, pairs):
+    for x, y in _normalize(t.n, pairs):
         mask |= 1 << pair_index(t.n, x, y)
     return Tournament(t.n, t.bits ^ mask)
 

@@ -173,7 +173,7 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
     Each record carries the reversed tournament, its indecomposability,
     the family's irreducibility, and, for indecomposable results, an
     isomorphism class id assigned by first occurrence.  Distinct families
-    always give distinct tournaments; the scan asserts it.
+    always give distinct tournaments; the scan raises RuntimeError otherwise.
     """
     perm_limit = max_n if max_n is not None else None
     class_limit = PERM_SCAN_LIMIT if perm_limit is None else perm_limit
@@ -188,7 +188,11 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
     records = []
     for family in enumerate_families(spec, max_n=max_n):
         t = reverse_pairs(base, family)
-        assert t.bits not in seen, "reversing distinct families must give distinct tournaments"
+        if t.bits in seen:
+            raise RuntimeError(
+                f"invariant broken at n={spec.n}, pairs {family.serialize()!r}: "
+                "reversing distinct families gave the same tournament"
+            )
         seen.add(t.bits)
         indecomposable = is_indecomposable(t)
         class_id = None

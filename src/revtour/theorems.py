@@ -27,14 +27,21 @@ deleted-vertex disjunction for quasi-pairings of odd ground sets of size
 >= 7 (Corollary 2); for odd sizes >= 5, indecomposability of T(n, Q)
 matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 {v, v+1} minus the endpoints (Corollary 3).
+
+``CHECKS`` is the single place where a check is defined: one row per
+theorem and corollary, giving its family kind, the ambient sizes where
+it applies, its two sides and its filing rule.  One driver,
+``verify_range``, runs the rows of a theorem id or of "corollaries".
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .comodules import is_transversal, minimal_comodules_total_order
 from .core import delete_vertex, is_indecomposable, reverse_pairs, transitive
@@ -49,6 +56,8 @@ from .pairs import (
 
 # The characterizations are stated for ground sets of at least 5 vertices.
 CHARACTERIZATION_MIN_N = 5
+
+Sides = tuple[bool, bool, dict[str, bool]]
 
 
 @dataclass(frozen=True)
@@ -111,24 +120,22 @@ def _warn_outside_hypothesis(n: int) -> None:
         )
 
 
-def _theorem1_instance(n: int, family: PairFamily) -> TheoremInstance:
+def _invariant_broken(n: int, family: PairFamily, what: str) -> RuntimeError:
+    return RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {what}")
+
+
+def _theorem1_sides(n: int, family: PairFamily) -> Sides:
     if classify(family) != "pairing":
         raise ValueError("theorem 1 takes a partial pairing")
     irreducible = is_irreducible_pairing(family)
     transversal = is_transversal(family.support, minimal_comodules_total_order(n))
     lhs = is_indecomposable(reverse_pairs(transitive(n), family))
-    return TheoremInstance(
-        n,
-        family,
-        lhs,
-        irreducible and transversal,
-        {"irreducible": irreducible, "transversal": transversal},
-        in_hypothesis=n >= CHARACTERIZATION_MIN_N,
-        label="theorem1",
-    )
+    return lhs, irreducible and transversal, {
+        "irreducible": irreducible, "transversal": transversal
+    }
 
 
-def _theorem2_instance(n: int, family: PairFamily) -> TheoremInstance:
+def _theorem2_sides(n: int, family: PairFamily) -> Sides:
     shape = anatomy(family)
     t = reverse_pairs(transitive(n), family)
     whole = is_indecomposable(t)
@@ -137,29 +144,23 @@ def _theorem2_instance(n: int, family: PairFamily) -> TheoremInstance:
     lhs = is_irreducible_quasi(family) and is_transversal(
         family.support, minimal_comodules_total_order(n)
     )
-    return TheoremInstance(
-        n,
-        family,
-        lhs,
-        whole or drop_low or drop_high,
-        {"whole": whole, "drop_low": drop_low, "drop_high": drop_high},
-        in_hypothesis=n >= CHARACTERIZATION_MIN_N,
-        label="theorem2",
-    )
+    return lhs, whole or drop_low or drop_high, {
+        "whole": whole, "drop_low": drop_low, "drop_high": drop_high
+    }
 
 
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(indecomposable, irreducible-transversal) for a partial pairing."""
     _warn_outside_hypothesis(n)
-    inst = _theorem1_instance(n, family)
-    return inst.lhs, inst.rhs
+    lhs, rhs, _ = _theorem1_sides(n, family)
+    return lhs, rhs
 
 
 def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
     _warn_outside_hypothesis(n)
-    inst = _theorem2_instance(n, family)
-    return inst.lhs, inst.rhs
+    lhs, rhs, _ = _theorem2_sides(n, family)
+    return lhs, rhs
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
@@ -192,189 +193,156 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
         )
         for v in range(n)
     )
-    if c4 and any((v, v + 1) in pairset for v in range(n)):
+    if c4 and shape.hub in (0, n - 1) and any((v, v + 1) in pairset for v in range(n)):
         # The containment requirement already rules out the endpoints.
-        assert shape.hub not in (0, n - 1)
+        raise _invariant_broken(n, family, "(C4) holds with the hub at an endpoint")
     return c1, c2, c3, c4
+
+
+def _theorem3_sides(n: int, family: PairFamily) -> Sides:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c1, c2, c3, c4 = theorem3_conditions(n, family)
+    lhs = is_indecomposable(reverse_pairs(transitive(n), family))
+    return lhs, c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
 def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
     """Indecomposability of the reversed tournament against conditions (C1)-(C4)."""
-    c1, c2, c3, c4 = theorem3_conditions(n, family)
-    lhs = is_indecomposable(reverse_pairs(transitive(n), family))
+    _warn_outside_hypothesis(n)
+    return check_instance("theorem3", n, family)
+
+
+def _corollary1_sides(n: int, family: PairFamily) -> Sides:
+    # Corollary 1 states theorem 1's equivalence with irreducibility on the left.
+    indecomposable, irreducible, details = _theorem1_sides(n, family)
+    return irreducible, indecomposable, {"transversal": details["transversal"]}
+
+
+def _corollary3_sides(n: int, family: PairFamily) -> Sides:
+    lhs, rhs, details = _theorem3_sides(n, family)
+    hub = anatomy(family).hub
+    pairset = set(family.pairs)
+    reduced_c4 = not any(
+        (v, v + 1) in pairset and hub not in {v, v + 1} - {0, n - 1}
+        for v in range(n)
+    )
+    # On full support the two readings of the adjacent-pair condition agree.
+    if reduced_c4 != details["c4"]:
+        raise _invariant_broken(n, family, "the reduced (C4) disagrees with (C4)")
+    return lhs, rhs, details
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the checker table.
+
+    ``run`` is the ``verify_range`` theorem id whose runs include the row,
+    ``kind`` the enumerated family kind, ``applies`` the ambient sizes the
+    row is checked at, and ``sides`` returns (lhs, rhs, details).  At
+    ``one_way_at`` only rhs => lhs is claimed: an instance with lhs and
+    not rhs there is recorded, not counted as a violation.
+    """
+
+    run: int | str
+    label: str
+    kind: str
+    applies: Callable[[int], bool]
+    sides: Callable[[int, PairFamily], Sides]
+    one_way_at: int | None = None
+
+
+# A "corollaries" run files its rows in table order at each n.
+CHECKS = (
+    Check(1, "theorem1", "partial-pairing", lambda n: True, _theorem1_sides),
+    Check(2, "theorem2", "partial-quasi", lambda n: True, _theorem2_sides, one_way_at=5),
+    Check(3, "theorem3", "partial-quasi", lambda n: True, _theorem3_sides),
+    Check("corollaries", "corollary1", "pairing",
+          lambda n: n % 2 == 0 and n >= 6, _corollary1_sides),
+    Check("corollaries", "corollary3", "quasi",
+          lambda n: n % 2 == 1 and n >= 5, _corollary3_sides),
+    Check("corollaries", "corollary2", "quasi",
+          lambda n: n % 2 == 1 and n >= 7, _theorem2_sides),
+)
+_BY_LABEL = {check.label: check for check in CHECKS}
+
+
+def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
+    """Evaluate the table row ``label`` on one family over 0..n-1."""
+    check = _BY_LABEL[label]
+    lhs, rhs, details = check.sides(n, family)
+    if not check.kind.startswith("partial") and not is_transversal(
+        family.support, minimal_comodules_total_order(n)
+    ):
+        raise _invariant_broken(n, family, "full support misses a minimal co-module")
     return TheoremInstance(
-        n,
-        family,
-        lhs,
-        c1 and c2 and c3 and c4,
-        {"c1": c1, "c2": c2, "c3": c3, "c4": c4},
-        in_hypothesis=n >= CHARACTERIZATION_MIN_N,
-        label="theorem3",
+        n, family, lhs, rhs, details,
+        in_hypothesis=n >= CHARACTERIZATION_MIN_N, label=label,
     )
 
 
-def _theorem3_instance(n: int, family: PairFamily) -> TheoremInstance:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return theorem3_check(n, family)
-
-
-_BUILDERS = {1: _theorem1_instance, 2: _theorem2_instance, 3: _theorem3_instance}
-_KIND_FOR = {1: "partial-pairing", 2: "partial-quasi", 3: "partial-quasi"}
-
-
-def _build_instance(args: tuple[int, int, PairFamily]) -> TheoremInstance:
-    theorem, n, family = args
-    return _BUILDERS[theorem](n, family)
-
-
 def _map_instances(
-    theorem: int, n: int, families: list[PairFamily], jobs: int
+    label: str, n: int, families: list[PairFamily], jobs: int
 ) -> list[TheoremInstance]:
     if jobs <= 1 or len(families) < 64:
-        return [_BUILDERS[theorem](n, f) for f in families]
-    tasks = [(theorem, n, f) for f in families]
+        return [check_instance(label, n, f) for f in families]
+    tasks = [(label, n, f) for f in families]
     with multiprocessing.Pool(jobs) as pool:
         chunk = max(16, len(tasks) // (jobs * 8))
-        return pool.map(_build_instance, tasks, chunksize=chunk)
+        return pool.starmap(check_instance, tasks, chunksize=chunk)
 
 
-def _file_instance(report: VerificationReport, theorem: int, inst: TheoremInstance) -> None:
+def _file_instance(report: VerificationReport, check: Check, inst: TheoremInstance) -> None:
     report.checked += 1
-    if theorem == 2:
-        if inst.n >= 6:
-            if inst.lhs != inst.rhs:
-                report.violations.append(inst)
-        elif inst.n == 5:
-            # Only the right-to-left implication is claimed at n = 5;
-            # converse failures are recorded, not counted as violations.
-            if inst.rhs and not inst.lhs:
-                report.violations.append(inst)
-            elif inst.lhs and not inst.rhs:
-                report.recorded.append(inst)
-    elif inst.in_hypothesis and inst.lhs != inst.rhs:
+    if not inst.in_hypothesis or inst.lhs == inst.rhs:
+        return
+    if inst.n == check.one_way_at and inst.lhs:
+        report.recorded.append(inst)
+    else:
         report.violations.append(inst)
 
 
 def verify_range(
-    theorem: int,
+    theorem: int | str,
     n_min: int,
     n_max: int,
     jobs: int = 1,
     max_n: int | None = None,
 ) -> VerificationReport:
-    """Check one theorem over every enumerated instance with n_min <= n <= n_max.
+    """Check a theorem (1, 2 or 3) or "corollaries" over every enumerated
+    instance with n_min <= n <= n_max.
 
     Instances outside the stated hypothesis are evaluated and tagged but
     never counted as violations.  Instance order is the enumeration
-    order, independent of the job count.
+    order, independent of the job count.  ``jobs`` must be at least 1 and
+    is capped at the number of CPUs.
     """
-    if theorem not in _BUILDERS:
-        raise ValueError(f"unknown theorem id {theorem!r}, want 1, 2, or 3")
+    checks = [check for check in CHECKS if check.run == theorem]
+    if not checks:
+        raise ValueError(f"unknown theorem id {theorem!r}, want 1, 2, 3, or 'corollaries'")
     if n_min > n_max:
         raise ValueError(f"empty range {n_min}..{n_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     report = VerificationReport(theorem, n_min, n_max)
     for n in range(n_min, n_max + 1):
-        families = list(enumerate_families(EnumSpec(n, _KIND_FOR[theorem]), max_n=max_n))
-        for inst in _map_instances(theorem, n, families, jobs):
-            _file_instance(report, theorem, inst)
+        for check in checks:
+            if not check.applies(n):
+                continue
+            families = list(enumerate_families(EnumSpec(n, check.kind), max_n=max_n))
+            for inst in _map_instances(check.label, n, families, jobs):
+                _file_instance(report, check, inst)
     report.ms = (time.perf_counter() - start) * 1000
     return report
-
-
-def _corollary1_instance(n: int, family: PairFamily) -> TheoremInstance:
-    lhs = is_irreducible_pairing(family)
-    rhs = is_indecomposable(reverse_pairs(transitive(n), family))
-    transversal = is_transversal(family.support, minimal_comodules_total_order(n))
-    assert transversal, "full support must meet every minimal co-module"
-    return TheoremInstance(
-        n, family, lhs, rhs, {"transversal": transversal}, label="corollary1"
-    )
-
-
-def _corollary2_instance(n: int, family: PairFamily) -> TheoremInstance:
-    shape = anatomy(family)
-    t = reverse_pairs(transitive(n), family)
-    whole = is_indecomposable(t)
-    drop_low = is_indecomposable(delete_vertex(t, shape.low))
-    drop_high = is_indecomposable(delete_vertex(t, shape.high))
-    lhs = is_irreducible_quasi(family)
-    return TheoremInstance(
-        n,
-        family,
-        lhs,
-        whole or drop_low or drop_high,
-        {"whole": whole, "drop_low": drop_low, "drop_high": drop_high},
-        label="corollary2",
-    )
-
-
-def _corollary3_instance(n: int, family: PairFamily) -> TheoremInstance:
-    shape = anatomy(family)
-    pairset = set(family.pairs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c1_full, c2, c3, c4_general = theorem3_conditions(n, family)
-    r1 = is_irreducible_quasi(family)
-    # Full support makes the transversal clause automatic.
-    assert c1_full == r1
-    r4 = not any(
-        (v, v + 1) in pairset
-        and shape.hub not in {v, v + 1} - {0, n - 1}
-        for v in range(n)
-    )
-    # On full support the two readings of the adjacent-pair condition agree.
-    assert r4 == c4_general
-    lhs = is_indecomposable(reverse_pairs(transitive(n), family))
-    return TheoremInstance(
-        n,
-        family,
-        lhs,
-        r1 and c2 and c3 and r4,
-        {"c1": r1, "c2": c2, "c3": c3, "c4": r4},
-        label="corollary3",
-    )
 
 
 def corollary_checks(n: int, max_n: int | None = None) -> VerificationReport:
-    """Check every corollary applicable at n over full-support families.
-
-    Even n >= 6 exercises Corollary 1 over pairings of 0..n-1; odd
-    n >= 5 exercises Corollary 3, and odd n >= 7 also Corollary 2, over
-    quasi-pairings of 0..n-1.
-    """
-    start = time.perf_counter()
-    report = VerificationReport("corollaries", n, n)
-    instances: list[TheoremInstance] = []
-    if n % 2 == 0 and n >= 6:
-        for family in enumerate_families(EnumSpec(n, "pairing"), max_n=max_n):
-            instances.append(_corollary1_instance(n, family))
-    if n % 2 == 1 and n >= 5:
-        families = list(enumerate_families(EnumSpec(n, "quasi"), max_n=max_n))
-        for family in families:
-            instances.append(_corollary3_instance(n, family))
-        if n >= 7:
-            for family in families:
-                instances.append(_corollary2_instance(n, family))
-    for inst in instances:
-        report.checked += 1
-        if inst.lhs != inst.rhs:
-            report.violations.append(inst)
-    report.ms = (time.perf_counter() - start) * 1000
-    return report
+    """Check every corollary applicable at n over full-support families."""
+    return verify_range("corollaries", n, n, max_n=max_n)
 
 
 def corollaries_range(n_min: int, n_max: int, max_n: int | None = None) -> VerificationReport:
-    """Merge corollary checks over a range of ambient sizes."""
-    if n_min > n_max:
-        raise ValueError(f"empty range {n_min}..{n_max}")
-    start = time.perf_counter()
-    merged = VerificationReport("corollaries", n_min, n_max)
-    for n in range(n_min, n_max + 1):
-        one = corollary_checks(n, max_n=max_n)
-        merged.checked += one.checked
-        merged.violations.extend(one.violations)
-        merged.recorded.extend(one.recorded)
-    merged.ms = (time.perf_counter() - start) * 1000
-    return merged
+    """Check every applicable corollary over a range of ambient sizes."""
+    return verify_range("corollaries", n_min, n_max, max_n=max_n)

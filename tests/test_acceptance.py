@@ -39,7 +39,7 @@ from revtour import (
     verify_range,
 )
 from revtour.core import pair_count
-from revtour.theorems import _theorem1_instance, _theorem2_instance, _theorem3_instance
+from revtour.theorems import check_instance
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -283,23 +283,23 @@ def test_criterion_8_property_suite():
 
     # Mirror relabeling preserves every theorem side, exhaustively at
     # n = 5..6 and sampled at n = 7.
-    def mirror_invariant(builder, n, family):
-        direct = builder(n, family)
-        image = builder(n, mirrored(family))
+    def mirror_invariant(label, n, family):
+        direct = check_instance(label, n, family)
+        image = check_instance(label, n, mirrored(family))
         return (direct.lhs, direct.rhs) == (image.lhs, image.rhs)
 
     for n in (5, 6):
         for family in enumerate_families(EnumSpec(n, "partial-pairing")):
-            assert mirror_invariant(_theorem1_instance, n, family)
+            assert mirror_invariant("theorem1", n, family)
             cases += 1
         for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-            assert mirror_invariant(_theorem2_instance, n, family)
-            assert mirror_invariant(_theorem3_instance, n, family)
+            assert mirror_invariant("theorem2", n, family)
+            assert mirror_invariant("theorem3", n, family)
             cases += 2
     sampled = list(enumerate_families(EnumSpec(7, "partial-quasi")))
     for family in rng.sample(sampled, 200):
-        assert mirror_invariant(_theorem2_instance, 7, family)
-        assert mirror_invariant(_theorem3_instance, 7, family)
+        assert mirror_invariant("theorem2", 7, family)
+        assert mirror_invariant("theorem3", 7, family)
         cases += 2
 
     elapsed = time.perf_counter() - start

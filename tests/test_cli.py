@@ -1,10 +1,18 @@
 """Command-line round trips, verdicts, and exit codes."""
 
+import hashlib
 import io
 import json
+import re
+
+import pytest
 
 from revtour import TheoremInstance, PairFamily, Tournament, VerificationReport
 from revtour.cli import main
+
+
+# The "ms" member of a verification report, the one field that varies by run.
+MS = re.compile(r', "ms": [-0-9.e+]+')
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -147,6 +155,40 @@ class TestVerify:
             capsys, monkeypatch, ["verify", "--theorem", "corollaries", "--n-range", "5..6"]
         )
         assert status == 0 and json.loads(out)["checked"] == 45
+
+    @pytest.mark.parametrize("theorem, jobs", [("1", "-3"), ("corollaries", "0")])
+    def test_jobs_below_one_rejected(self, capsys, monkeypatch, theorem, jobs):
+        status, out, err = run(
+            capsys, monkeypatch,
+            ["verify", "--theorem", theorem, "--n-range", "5..5", "--jobs", jobs],
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("error:") and "jobs" in err
+
+    def test_corollaries_jobs_go_through_the_pool(self, capsys, monkeypatch, fake_pool):
+        argv = ["verify", "--theorem", "corollaries", "--n-range", "5..7"]
+        _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
+        assert fake_pool == []
+        _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
+        # One pool per row that applies at n = 7: corollaries 3 and 2.
+        assert fake_pool == [2, 2]
+        assert MS.sub("", pooled) == MS.sub("", serial)
+
+    # sha256 of `verify --theorem T --n-range 3..7` with the "ms" member
+    # removed, pinned from the implementation that ran theorems and
+    # corollaries through separate builders and drivers.
+    @pytest.mark.parametrize("theorem, digest", [
+        ("1", "d22c2993a079659aef3e2bfe9fcc60517505d6c8b91f5be6d7d6224bc04e7273"),
+        ("2", "a49b7adcf31d7d65335b27bad95e15711cfdac546c413c06d0d75ee43eab9117"),
+        ("3", "595f18ecc27ef9fc95beaf634208231110f0b99ffbee875d051945dbe7577ac2"),
+        ("corollaries", "8657967732375ac1938d14a700671924b7b56c7d31587b7ba5947fd750e505ee"),
+    ])
+    def test_golden_report(self, capsys, monkeypatch, theorem, digest):
+        status, out, _ = run(
+            capsys, monkeypatch, ["verify", "--theorem", theorem, "--n-range", "3..7"]
+        )
+        assert status == 0
+        assert hashlib.sha256(MS.sub("", out).encode()).hexdigest() == digest
 
     def test_violations_exit_code(self, capsys, monkeypatch):
         # Exercise the exit mapping with a fabricated failing report.

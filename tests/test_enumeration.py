@@ -213,3 +213,9 @@ class TestCensus:
     def test_census_irreducibility_flags(self):
         for record in census(EnumSpec(6, "pairing")):
             assert record.irreducible == is_irreducible_pairing(record.family)
+
+    def test_distinct_families_give_distinct_tournaments(self, monkeypatch):
+        # The check raises RuntimeError, so it also holds under python -O.
+        monkeypatch.setattr("revtour.enumeration.reverse_pairs", lambda base, family: base)
+        with pytest.raises(RuntimeError, match="n=5, pairs '0-1,0-2,3-4'"):
+            census(EnumSpec(5, "partial-quasi"))

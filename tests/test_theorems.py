@@ -1,9 +1,15 @@
 """Theorem sides, the four quasi conditions, and the verification harness."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import revtour.theorems
 from revtour import (
     PairFamily,
     Pairing,
@@ -20,6 +26,9 @@ from revtour import (
     transitive,
     verify_range,
 )
+from revtour.theorems import CHECKS, check_instance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTheorem1:
@@ -131,12 +140,20 @@ class TestVerifyRange:
         assert report.passed and report.checked == 9
 
     def test_jobs_do_not_change_the_outcome(self):
-        serial = verify_range(3, 5, 6)
-        parallel = verify_range(3, 5, 6, jobs=2)
-        assert serial.checked == parallel.checked
-        assert [i.to_record() for i in serial.violations] == [
-            i.to_record() for i in parallel.violations
-        ]
+        # Corollaries at n = 7 check 315 families per row, enough for the pool.
+        for theorem, n_min, n_max in ((2, 5, 6), (3, 5, 6), ("corollaries", 5, 7)):
+            serial = verify_range(theorem, n_min, n_max)
+            parallel = verify_range(theorem, n_min, n_max, jobs=2)
+            assert serial.checked == parallel.checked
+            for filed in ("violations", "recorded"):
+                assert [i.to_record() for i in getattr(serial, filed)] == [
+                    i.to_record() for i in getattr(parallel, filed)
+                ]
+
+    def test_jobs_capped_at_cpu_count(self, fake_pool):
+        capped = verify_range(3, 6, 6, jobs=10**6)
+        assert fake_pool == [4]
+        assert capped.checked == 240 and capped.passed
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -171,3 +188,109 @@ class TestCorollaries:
     def test_range_merge(self):
         merged = corollaries_range(5, 6)
         assert merged.passed and merged.checked == 45
+
+
+class TestCheckTable:
+    def test_rows(self):
+        assert [(c.run, c.label, c.kind) for c in CHECKS] == [
+            (1, "theorem1", "partial-pairing"),
+            (2, "theorem2", "partial-quasi"),
+            (3, "theorem3", "partial-quasi"),
+            ("corollaries", "corollary1", "pairing"),
+            ("corollaries", "corollary3", "quasi"),
+            ("corollaries", "corollary2", "quasi"),
+        ]
+        applies = {c.label: [n for n in range(3, 12) if c.applies(n)] for c in CHECKS}
+        assert applies["theorem1"] == applies["theorem3"] == list(range(3, 12))
+        assert applies["corollary1"] == [6, 8, 10]
+        assert applies["corollary3"] == [5, 7, 9, 11]
+        assert applies["corollary2"] == [7, 9, 11]
+
+    # One record per row.  Where the two sides can differ, the family is
+    # chosen so that they do, which fixes which side is lhs.
+    @pytest.mark.parametrize("label, n, family, record", [
+        ("theorem1", 4, Pairing(4, [(0, 2), (1, 3)]), {
+            "n": 4, "pairs": "0-2,1-3", "lhs": False, "rhs": True,
+            "details": {"irreducible": True, "transversal": True},
+            "in_hypothesis": False, "label": "theorem1",
+        }),
+        ("theorem2", 5, QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]), {
+            "n": 5, "pairs": "0-2,1-3,2-4", "lhs": True, "rhs": False,
+            "details": {"whole": False, "drop_low": False, "drop_high": False},
+            "in_hypothesis": True, "label": "theorem2",
+        }),
+        ("theorem3", 5, QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]), {
+            "n": 5, "pairs": "0-2,1-3,2-4", "lhs": False, "rhs": False,
+            "details": {"c1": True, "c2": True, "c3": False, "c4": True},
+            "in_hypothesis": True, "label": "theorem3",
+        }),
+        ("corollary1", 4, Pairing(4, [(0, 2), (1, 3)]), {
+            "n": 4, "pairs": "0-2,1-3", "lhs": True, "rhs": False,
+            "details": {"transversal": True},
+            "in_hypothesis": False, "label": "corollary1",
+        }),
+        ("corollary2", 5, QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]), {
+            "n": 5, "pairs": "0-2,1-3,2-4", "lhs": True, "rhs": False,
+            "details": {"whole": False, "drop_low": False, "drop_high": False},
+            "in_hypothesis": True, "label": "corollary2",
+        }),
+        ("corollary3", 5, QuasiPairing(5, [(0, 2), (1, 2), (3, 4)]), {
+            "n": 5, "pairs": "0-2,1-2,3-4", "lhs": False, "rhs": False,
+            "details": {"c1": False, "c2": False, "c3": True, "c4": False},
+            "in_hypothesis": True, "label": "corollary3",
+        }),
+    ])
+    def test_pinned_record(self, label, n, family, record):
+        assert check_instance(label, n, family).to_record() == record
+
+
+class TestInvariants:
+    """Checker invariants raise RuntimeError, so they hold under python -O."""
+
+    def test_c4_endpoint(self):
+        # Read at n = 5, a family over 0..6 puts the hub 4 at the right
+        # end while its neighbour 5 is still in the support, so (C4) holds.
+        family = QuasiPairing(7, [(3, 4), (4, 5)])
+        with pytest.raises(RuntimeError, match="n=5, pairs '3-4,4-5'.*endpoint"):
+            theorem3_conditions(5, family)
+
+    def test_full_support_meets_every_comodule(self, monkeypatch):
+        monkeypatch.setattr("revtour.theorems.is_transversal", lambda support, comodules: False)
+        for label, n, family in (
+            ("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)])),
+            ("corollary2", 7, QuasiPairing(7, [(0, 2), (2, 4), (1, 5), (3, 6)])),
+            ("corollary3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])),
+        ):
+            with pytest.raises(RuntimeError, match=f"n={n}, pairs '{family.serialize()}'"):
+                check_instance(label, n, family)
+        with pytest.raises(RuntimeError, match="co-module"):
+            verify_range("corollaries", 5, 5)
+
+    def test_corollary3_reduced_c4_agrees(self, monkeypatch):
+        real = revtour.theorems.theorem3_conditions
+
+        def flipped_c4(n, family):
+            c1, c2, c3, c4 = real(n, family)
+            return c1, c2, c3, not c4
+
+        monkeypatch.setattr("revtour.theorems.theorem3_conditions", flipped_c4)
+        with pytest.raises(RuntimeError, match="n=5, pairs '0-2,0-4,1-3'.*reduced"):
+            check_instance("corollary3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
+
+    def test_raises_under_optimize(self):
+        child = textwrap.dedent("""
+            import sys
+            import revtour.theorems as theorems
+            from revtour import Pairing
+            theorems.is_transversal = lambda support, comodules: False
+            try:
+                theorems.check_instance("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)]))
+            except RuntimeError as exc:
+                print(sys.flags.optimize, exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert out.startswith("1 invariant broken at n=6, pairs '0-2,1-4,3-5'")
