@@ -13,16 +13,17 @@ with i < j, character '1' meaning the arc i -> j is present.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import _normalize
 
 # Largest n accepted by subset-scanning oracles (2^n subsets).
 SUBSET_SCAN_LIMIT = 20
-# Largest n accepted by permutation-scanning operations (n! relabelings).
+# Largest n accepted by canonical labeling and so by the census class ids.
+# The refinement search is fast well beyond it (the n! scan it replaced is
+# kept in the tests as the oracle), but the census holds every record in
+# one list, so the limit rises only once the census streams.
 PERM_SCAN_LIMIT = 9
 
 
@@ -294,38 +295,63 @@ def all_modules_bruteforce(t: Tournament, max_n: int | None = None) -> list[froz
     return found
 
 
-@lru_cache(maxsize=32)
-def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((x, y) for x in range(n) for y in range(x + 1, n))
-
-
 def canonical_form(t: Tournament, max_n: int | None = None) -> str:
     """Lexicographically smallest arc row over all vertex relabelings.
 
     Two tournaments are isomorphic exactly when their canonical forms are
-    equal.  Scans all n! relabelings, hence the size guard.
+    equal.  Position a of a relabeling holds one vertex, and bit (a, b) of
+    the row, a < b, is 1 when the vertex at a beats the vertex at b.  Row
+    k, the bits (k, b) for b > k, is therefore smallest when the later
+    positions list the in-neighbours of the vertex at k before its
+    out-neighbours.
+
+    The search fills positions in order and keeps a set of states.  A
+    state orders the unplaced vertices into cells, and stands for every
+    relabeling that places each cell, in any order, on the next positions.
+    Initially one cell holds every vertex.  At step k each vertex of a
+    state's first cell is tried at position k: every cell splits into the
+    vertex's in-part followed by its out-part, which fixes row k for all
+    relabelings of the new state and makes it the least row k among
+    relabelings of the old state with that vertex at k.  Only the new
+    states whose row k is least over all states survive.  Rows 0..k-1
+    already agree on every surviving state, so the states that are
+    dropped cannot reach the minimum and the search is exact; it branches
+    only where row k ties.  ``tests/oracles.py`` keeps the n! scan that
+    this replaces as the reference.
     """
     limit = PERM_SCAN_LIMIT if max_n is None else max_n
     if t.n > limit:
-        raise GuardError(f"permutation scan allows n <= {limit}, got {t.n}")
+        raise GuardError(f"canonical labeling allows n <= {limit}, got {t.n}")
     m = pair_count(t.n)
     if m == 0:
         return ""
-    pairs = _pair_order(t.n)
-    n, bits = t.n, t.bits
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        value = 0
-        for a, b in pairs:
-            x, y = sigma[a], sigma[b]
-            if x < y:
-                bit = bits >> pair_index(n, x, y) & 1
-            else:
-                bit = 1 ^ (bits >> pair_index(n, y, x) & 1)
-            value = value << 1 | bit
-        if best is None or value < best:
-            best = value
-    return format(best, f"0{m}b")
+    rows = _out_rows(t)
+    states = {((1 << t.n) - 1,)}
+    value = 0
+    for k in range(t.n - 1):
+        width = t.n - 1 - k
+        best = 1 << width
+        survivors: set[tuple[int, ...]] = set()
+        for first, *rest in states:
+            candidates = first
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                out = rows[low.bit_length() - 1]
+                row = 0
+                split = []
+                for cell in (first ^ low, *rest):
+                    beaten = cell & out
+                    row = row << cell.bit_count() | (1 << beaten.bit_count()) - 1
+                    split += [part for part in (cell ^ beaten, beaten) if part]
+                if row < best:
+                    best = row
+                    survivors = {tuple(split)}
+                elif row == best:
+                    survivors.add(tuple(split))
+        states = survivors
+        value = value << width | best
+    return format(value, f"0{m}b")
 
 
 def is_isomorphic(a: Tournament, b: Tournament, max_n: int | None = None) -> bool:

@@ -179,7 +179,8 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
     class_limit = PERM_SCAN_LIMIT if perm_limit is None else perm_limit
     if spec.n > class_limit:
         raise GuardError(
-            f"census class ids need a permutation scan, so n <= {class_limit}, got {spec.n}"
+            "census class ids come from canonical labeling by refinement, which "
+            f"allows n <= {class_limit}, got {spec.n}"
         )
     base = transitive(spec.n)
     judge = is_irreducible_quasi if spec.is_quasi else is_irreducible_pairing

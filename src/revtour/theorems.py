@@ -328,11 +328,14 @@ def verify_range(
     start = time.perf_counter()
     report = VerificationReport(theorem, n_min, n_max)
     for n in range(n_min, n_max + 1):
-        for check in checks:
-            if not check.applies(n):
-                continue
-            families = list(enumerate_families(EnumSpec(n, check.kind), max_n=max_n))
-            for inst in _map_instances(check.label, n, families, jobs):
+        applying = [check for check in checks if check.applies(n)]
+        # Rows of one kind (corollaries 3 and 2) share one enumeration.
+        families = {
+            kind: list(enumerate_families(EnumSpec(n, kind), max_n=max_n))
+            for kind in dict.fromkeys(check.kind for check in applying)
+        }
+        for check in applying:
+            for inst in _map_instances(check.label, n, families[check.kind], jobs):
                 _file_instance(report, check, inst)
     report.ms = (time.perf_counter() - start) * 1000
     return report

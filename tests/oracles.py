@@ -4,7 +4,7 @@ Everything here is deliberately naive: straight from the definitions,
 sharing nothing with the package internals beyond public data access.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 
@@ -92,3 +92,18 @@ def modules_by_definition(t):
         if all(len({t.arc(v, m) for m in members}) <= 1 for v in rest):
             found.append(frozenset(members))
     return found
+
+
+def canonical_form_by_scan(t) -> str:
+    """Least arc row over all n! relabelings, via the public arc test.
+
+    For a relabeling listing vertices in position order, the row holds,
+    for every pair of positions a < b in row-major order, '1' when the
+    vertex at a beats the vertex at b.
+    """
+    beats = [["1" if x != y and t.arc(x, y) else "0" for y in range(t.n)] for x in range(t.n)]
+    positions = list(combinations(range(t.n), 2))
+    return min(
+        "".join(beats[order[a]][order[b]] for a, b in positions)
+        for order in permutations(range(t.n))
+    )

@@ -150,6 +150,20 @@ class TestVerifyRange:
                     i.to_record() for i in getattr(parallel, filed)
                 ]
 
+    def test_corollary_rows_share_one_enumeration(self, monkeypatch):
+        enumerated = []
+        real = revtour.theorems.enumerate_families
+
+        def counting(spec, max_n=None):
+            enumerated.append((spec.n, spec.kind))
+            return real(spec, max_n=max_n)
+
+        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
+        report = verify_range("corollaries", 6, 7)
+        # Corollary 1 at n = 6; corollaries 3 and 2 both take the 315 quasi-pairings at n = 7.
+        assert enumerated == [(6, "pairing"), (7, "quasi")]
+        assert report.passed and report.checked == 15 + 2 * 315
+
     def test_jobs_capped_at_cpu_count(self, fake_pool):
         capped = verify_range(3, 6, 6, jobs=10**6)
         assert fake_pool == [4]
