@@ -33,7 +33,6 @@ from .pairs import (
     is_irreducible_quasi,
     mates,
     mirrored,
-    nontrivial_intervals,
     partner,
     support,
 )

@@ -108,7 +108,8 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
     yield from rec(0, 0)
 
 
-def _guard(spec: EnumSpec, max_n: int | None) -> None:
+def check_guard(spec: EnumSpec, max_n: int | None) -> None:
+    """Raise GuardError when the spec is past the enumeration guard."""
     default = PARTIAL_ENUM_LIMIT if spec.is_partial else FULL_ENUM_LIMIT
     limit = default if max_n is None else max_n
     if spec.n > limit:
@@ -127,7 +128,7 @@ def _passes(spec: EnumSpec, family: PairFamily) -> bool:
 
 def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:
     """All families matching the spec, in lexicographic order of pair tuples."""
-    _guard(spec, max_n)
+    check_guard(spec, max_n)
     if spec.is_quasi:
         walk = _pair_walk(spec.n, 1, not spec.is_partial)
         build = QuasiPairing
@@ -175,8 +176,7 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
     isomorphism class id assigned by first occurrence.  Distinct families
     always give distinct tournaments; the scan raises RuntimeError otherwise.
     """
-    perm_limit = max_n if max_n is not None else None
-    class_limit = PERM_SCAN_LIMIT if perm_limit is None else perm_limit
+    class_limit = PERM_SCAN_LIMIT if max_n is None else max_n
     if spec.n > class_limit:
         raise GuardError(
             "census class ids come from canonical labeling by refinement, which "
@@ -198,7 +198,7 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
         indecomposable = is_indecomposable(t)
         class_id = None
         if indecomposable:
-            key = canonical_form(t, max_n=perm_limit)
+            key = canonical_form(t, max_n=max_n)
             class_id = class_ids.setdefault(key, len(class_ids))
         records.append(CensusRecord(family, t, indecomposable, judge(family), class_id))
     return records

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -44,6 +45,7 @@ class PairFamily:
     """A set of unordered vertex pairs over the ambient set 0..n-1.
 
     Pairs are stored deduplicated, each as (x, y) with x < y, sorted.
+    Derived data is computed once, on first use, and kept on the family.
     """
 
     n: int
@@ -66,10 +68,21 @@ class PairFamily:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         """Union of all pairs."""
         return frozenset(v for pair in self.pairs for v in pair)
+
+    @cached_property
+    def _anatomy(self) -> "QuasiAnatomy":
+        if classify(self) != "quasi-pairing":
+            raise ValueError("anatomy needs a quasi-pairing")
+        counts = Counter(v for pair in self.pairs for v in pair)
+        hub = next(v for v, c in counts.items() if c == 2)
+        low, high = sorted(v for pair in self.pairs if hub in pair for v in pair if v != hub)
+        triple = tuple(sorted((hub, low, high)))
+        blocks = sorted([p for p in self.pairs if hub not in p] + [triple])
+        return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
 
     def serialize(self) -> str:
         return ",".join(f"{x}-{y}" for x, y in self.pairs)
@@ -162,16 +175,7 @@ def partner(family: PairFamily, x: int) -> int:
 
 def anatomy(family: PairFamily) -> QuasiAnatomy:
     """Hub, partners, triple, and merged partition of a quasi-pairing."""
-    if classify(family) != "quasi-pairing":
-        raise ValueError("anatomy needs a quasi-pairing")
-    counts = Counter(v for pair in family.pairs for v in pair)
-    hub = next(v for v, c in counts.items() if c == 2)
-    low, high = sorted(
-        v for pair in family.pairs if hub in pair for v in pair if v != hub
-    )
-    triple = tuple(sorted((hub, low, high)))
-    blocks = sorted([p for p in family.pairs if hub not in p] + [triple])
-    return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
+    return family._anatomy
 
 
 def components(family: PairFamily) -> list[tuple[int, ...]]:
@@ -202,36 +206,36 @@ def mirrored(family: PairFamily) -> PairFamily:
     return type(family)(family.n, flipped)
 
 
-def nontrivial_intervals(vertices: Iterable[int]) -> list[tuple[int, ...]]:
-    """Contiguous runs of the induced order, of size >= 2 and below full size."""
-    ordered = sorted(set(vertices))
-    out = []
-    for length in range(2, len(ordered)):
-        for start in range(len(ordered) - length + 1):
-            out.append(tuple(ordered[start : start + length]))
-    return out
-
-
 def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[int]]) -> bool:
-    """True when no nontrivial interval of the ordered set is a union of blocks."""
-    ground = sorted(set(vertices))
+    """True when no nontrivial interval of the ordered set is a union of blocks.
+
+    Sweeps right from each vertex u: the run from u to v is a union of
+    blocks iff no block met on the way starts below u and the farthest
+    end among them is v.
+    """
+    ground = set(vertices)
     parts = [tuple(sorted(b)) for b in blocks]
     flat = [v for b in parts for v in b]
-    if any(not b for b in parts) or len(flat) != len(set(flat)) or set(flat) != set(ground):
+    if any(not b for b in parts) or len(flat) != len(set(flat)) or set(flat) != ground:
         raise ValueError("blocks must partition the ground set")
-    block_of = {v: i for i, b in enumerate(parts) for v in b}
-    sizes = [len(b) for b in parts]
-    for interval in nontrivial_intervals(ground):
-        if sum(sizes[i] for i in {block_of[v] for v in interval}) == len(interval):
-            return False
+    spans = sorted((v, b[0], b[-1]) for b in parts for v in b)
+    for i, (u, _, _) in enumerate(spans):
+        reach = u
+        # From the least vertex the sweep stops short of the whole set, the trivial union.
+        for v, first, last in spans[i : len(spans) - (i == 0)]:
+            if first < u:
+                break
+            reach = max(reach, last)
+            if v > u and reach == v:
+                return False
     return True
 
 
 def is_irreducible_pairing(family: PairFamily) -> bool:
-    """Irreducibility of a pairing: its components against its ordered support."""
+    """Irreducibility of a pairing: its pairs (its components) against its ordered support."""
     if classify(family) != "pairing":
         raise ValueError("irreducibility of a pairing needs a pairing")
-    return is_irreducible_partition(family.support, components(family))
+    return is_irreducible_partition(family.support, family.pairs)
 
 
 def is_irreducible_quasi(family: PairFamily) -> bool:

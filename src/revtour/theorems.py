@@ -31,7 +31,8 @@ matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 ``CHECKS`` is the single place where a check is defined: one row per
 theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides and its filing rule.  One driver,
-``verify_range``, runs the rows of a theorem id or of "corollaries".
+``verify_range``, runs the rows of a theorem id or of "corollaries",
+streaming each enumerated family once through every row of its kind.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ import multiprocessing
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from .comodules import is_transversal, minimal_comodules_total_order
 from .core import delete_vertex, is_indecomposable, reverse_pairs, transitive
-from .enumeration import EnumSpec, enumerate_families
+from .enumeration import EnumSpec, check_guard, enumerate_families
 from .pairs import (
     PairFamily,
     anatomy,
@@ -56,6 +59,9 @@ from .pairs import (
 
 # The characterizations are stated for ground sets of at least 5 vertices.
 CHARACTERIZATION_MIN_N = 5
+
+# Families per task batch sent to a pool worker.
+POOL_CHUNK = 256
 
 Sides = tuple[bool, bool, dict[str, bool]]
 
@@ -124,11 +130,21 @@ def _invariant_broken(n: int, family: PairFamily, what: str) -> RuntimeError:
     return RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {what}")
 
 
+def _same_size(n: int, family: PairFamily) -> None:
+    if family.n != n:
+        raise ValueError(f"family over n={family.n} vertices checked at n={n}")
+
+
+def _transversal(n: int, family: PairFamily) -> bool:
+    return is_transversal(family.support, minimal_comodules_total_order(n))
+
+
 def _theorem1_sides(n: int, family: PairFamily) -> Sides:
+    _same_size(n, family)
     if classify(family) != "pairing":
         raise ValueError("theorem 1 takes a partial pairing")
     irreducible = is_irreducible_pairing(family)
-    transversal = is_transversal(family.support, minimal_comodules_total_order(n))
+    transversal = _transversal(n, family)
     lhs = is_indecomposable(reverse_pairs(transitive(n), family))
     return lhs, irreducible and transversal, {
         "irreducible": irreducible, "transversal": transversal
@@ -136,14 +152,13 @@ def _theorem1_sides(n: int, family: PairFamily) -> Sides:
 
 
 def _theorem2_sides(n: int, family: PairFamily) -> Sides:
+    _same_size(n, family)
     shape = anatomy(family)
     t = reverse_pairs(transitive(n), family)
     whole = is_indecomposable(t)
     drop_low = is_indecomposable(delete_vertex(t, shape.low))
     drop_high = is_indecomposable(delete_vertex(t, shape.high))
-    lhs = is_irreducible_quasi(family) and is_transversal(
-        family.support, minimal_comodules_total_order(n)
-    )
+    lhs = is_irreducible_quasi(family) and _transversal(n, family)
     return lhs, whole or drop_low or drop_high, {
         "whole": whole, "drop_low": drop_low, "drop_high": drop_high
     }
@@ -170,13 +185,12 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
     out-of-range references fail the antecedent or the consequent as
     written, so no extra range guards are needed.
     """
+    _same_size(n, family)
     _warn_outside_hypothesis(n)
     shape = anatomy(family)
     supp = family.support
     pairset = set(family.pairs)
-    c1 = is_irreducible_quasi(family) and is_transversal(
-        supp, minimal_comodules_total_order(n)
-    )
+    c1 = is_irreducible_quasi(family) and _transversal(n, family)
     c2 = shape.high >= shape.low + 2
     c3 = not any(
         (v, v + 2) in pairset
@@ -271,9 +285,7 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     """Evaluate the table row ``label`` on one family over 0..n-1."""
     check = _BY_LABEL[label]
     lhs, rhs, details = check.sides(n, family)
-    if not check.kind.startswith("partial") and not is_transversal(
-        family.support, minimal_comodules_total_order(n)
-    ):
+    if not check.kind.startswith("partial") and not _transversal(n, family):
         raise _invariant_broken(n, family, "full support misses a minimal co-module")
     return TheoremInstance(
         n, family, lhs, rhs, details,
@@ -281,25 +293,9 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     )
 
 
-def _map_instances(
-    label: str, n: int, families: list[PairFamily], jobs: int
-) -> list[TheoremInstance]:
-    if jobs <= 1 or len(families) < 64:
-        return [check_instance(label, n, f) for f in families]
-    tasks = [(label, n, f) for f in families]
-    with multiprocessing.Pool(jobs) as pool:
-        chunk = max(16, len(tasks) // (jobs * 8))
-        return pool.starmap(check_instance, tasks, chunksize=chunk)
-
-
-def _file_instance(report: VerificationReport, check: Check, inst: TheoremInstance) -> None:
-    report.checked += 1
-    if not inst.in_hypothesis or inst.lhs == inst.rhs:
-        return
-    if inst.n == check.one_way_at and inst.lhs:
-        report.recorded.append(inst)
-    else:
-        report.violations.append(inst)
+def _check_family(task: tuple[tuple[str, ...], int, PairFamily]) -> list[TheoremInstance]:
+    labels, n, family = task
+    return [check_instance(label, n, family) for label in labels]
 
 
 def verify_range(
@@ -313,9 +309,9 @@ def verify_range(
     instance with n_min <= n <= n_max.
 
     Instances outside the stated hypothesis are evaluated and tagged but
-    never counted as violations.  Instance order is the enumeration
-    order, independent of the job count.  ``jobs`` must be at least 1 and
-    is capped at the number of CPUs.
+    never counted as violations.  Filed instances are ordered by n, then
+    table row, then enumeration order, whatever the job count.  ``jobs``
+    must be at least 1 and is capped at the number of CPUs.
     """
     checks = [check for check in CHECKS if check.run == theorem]
     if not checks:
@@ -327,16 +323,26 @@ def verify_range(
     jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     report = VerificationReport(theorem, n_min, n_max)
-    for n in range(n_min, n_max + 1):
-        applying = [check for check in checks if check.applies(n)]
-        # Rows of one kind (corollaries 3 and 2) share one enumeration.
-        families = {
-            kind: list(enumerate_families(EnumSpec(n, kind), max_n=max_n))
-            for kind in dict.fromkeys(check.kind for check in applying)
-        }
-        for check in applying:
-            for inst in _map_instances(check.label, n, families[check.kind], jobs):
-                _file_instance(report, check, inst)
+    # One enumeration per (n, kind), streamed through every row of that kind.
+    plan = [
+        (tuple(c.label for c in checks if c.kind == kind and c.applies(n)), EnumSpec(n, kind))
+        for n in range(n_min, n_max + 1)
+        for kind in dict.fromkeys(c.kind for c in checks if c.applies(n))
+    ]
+    for _, spec in plan:
+        check_guard(spec, max_n)
+    tasks = ((labels, spec.n, f) for labels, spec in plan for f in enumerate_families(spec, max_n))
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        mapped = pool.imap(_check_family, tasks, POOL_CHUNK) if pool else map(_check_family, tasks)
+        for inst in chain.from_iterable(mapped):
+            report.checked += 1
+            if inst.in_hypothesis and inst.lhs != inst.rhs:
+                one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
+                (report.recorded if one_way else report.violations).append(inst)
+    # Rows arrive interleaved, family by family; file them in table order at each n.
+    rows = [check.label for check in checks]
+    for filed in (report.violations, report.recorded):
+        filed.sort(key=lambda inst: (inst.n, rows.index(inst.label)))
     report.ms = (time.perf_counter() - start) * 1000
     return report
 

@@ -9,9 +9,14 @@ def fake_pool(monkeypatch):
 
     The machine reports 4 CPUs for the duration of the test.  Returns
     the list of pool sizes requested, so a test can check the job count
-    that reached the pool without starting a process.
+    that reached the pool without starting a process; its ``tasks``
+    attribute counts the tasks the pools mapped.
     """
-    sizes = []
+
+    class PoolLog(list):
+        tasks = 0
+
+    sizes = PoolLog()
 
     class SerialPool:
         def __init__(self, processes):
@@ -23,8 +28,10 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, tasks, chunksize=1):
-            return [fn(*task) for task in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            for task in tasks:
+                sizes.tasks += 1
+                yield fn(task)
 
     monkeypatch.setattr("revtour.theorems.multiprocessing.Pool", SerialPool)
     monkeypatch.setattr("revtour.theorems.os.cpu_count", lambda: 4)

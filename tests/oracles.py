@@ -67,6 +67,19 @@ def all_quasi_pairings(support):
                 yield tuple(sorted(hub_pairs + matching))
 
 
+def all_set_partitions(items):
+    """Partitions of the items into nonempty blocks, as lists of tuples."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in all_set_partitions(rest):
+        yield [(first,)] + partition
+        for i, block in enumerate(partition):
+            yield partition[:i] + [(first,) + block] + partition[i + 1 :]
+
+
 def naive_is_irreducible(support, blocks) -> bool:
     """No union of a subfamily of blocks is a nontrivial interval of the support."""
     ordered = sorted(support)

@@ -170,8 +170,9 @@ class TestVerify:
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_pool == []
         _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
-        # One pool per row that applies at n = 7: corollaries 3 and 2.
-        assert fake_pool == [2, 2]
+        # One pool for the whole run, fed every family once: 30 quasi-pairings
+        # at n = 5, 15 pairings at n = 6 and 315 quasi-pairings at n = 7.
+        assert fake_pool == [2] and fake_pool.tasks == 30 + 15 + 315
         assert MS.sub("", pooled) == MS.sub("", serial)
 
     # sha256 of `verify --theorem T --n-range 3..7` with the "ms" member

@@ -14,12 +14,11 @@ from revtour import (
     is_irreducible_quasi,
     mates,
     mirrored,
-    nontrivial_intervals,
     partner,
     support,
 )
 
-from oracles import naive_is_irreducible
+from oracles import all_set_partitions, naive_is_irreducible
 
 
 class TestPairFamily:
@@ -115,6 +114,11 @@ class TestAnatomy:
         with pytest.raises(ValueError):
             anatomy(PairFamily(5, [(0, 2), (1, 4)]))
 
+    def test_derived_once(self):
+        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        assert anatomy(fam) is anatomy(fam)
+        assert fam.support is fam.support
+
 
 class TestMates:
     def test_hub_has_two(self):
@@ -143,18 +147,6 @@ class TestComponents:
         assert components(PairFamily(4, [(0, 1), (0, 2), (0, 3)])) == [(0, 1, 2, 3)]
 
 
-class TestIntervals:
-    def test_with_gap(self):
-        got = nontrivial_intervals({0, 1, 2, 4})
-        assert got == [(0, 1), (1, 2), (2, 4), (0, 1, 2), (1, 2, 4)]
-
-    def test_two_points_have_none(self):
-        assert nontrivial_intervals({3, 7}) == []
-
-    def test_three_points(self):
-        assert nontrivial_intervals({0, 1, 2}) == [(0, 1), (1, 2)]
-
-
 class TestIrreduciblePartition:
     def test_interleaved_pairs(self):
         assert is_irreducible_partition({0, 1, 2, 3}, [(0, 2), (1, 3)])
@@ -170,6 +162,18 @@ class TestIrreduciblePartition:
             is_irreducible_partition({0, 1, 2}, [(0, 1)])
         with pytest.raises(ValueError):
             is_irreducible_partition({0, 1, 2}, [(0, 1), (1, 2)])
+
+    def test_matches_naive_oracle(self):
+        # Every set partition of 1-8 points, on a ground set with gaps so
+        # that neighbours in the order are not consecutive integers.
+        checked = 0
+        for k in range(1, 9):
+            ground = [3 * i + i % 2 for i in range(k)]
+            for blocks in all_set_partitions(ground):
+                want = naive_is_irreducible(ground, blocks)
+                assert is_irreducible_partition(ground, blocks) == want, blocks
+                checked += 1
+        assert checked == 5295
 
 
 class TestIrreduciblePairing:
@@ -188,8 +192,8 @@ class TestIrreduciblePairing:
     def test_matches_naive_oracle(self):
         from oracles import all_matchings
 
-        for matching in all_matchings(range(6)):
-            fam = Pairing(6, matching)
+        for matching in all_matchings(range(8)):
+            fam = Pairing(8, matching)
             want = naive_is_irreducible(support(fam), fam.pairs)
             assert is_irreducible_pairing(fam) == want
 
@@ -205,8 +209,8 @@ class TestIrreducibleQuasi:
     def test_matches_naive_oracle(self):
         from oracles import all_quasi_pairings
 
-        for pairs in all_quasi_pairings(range(5)):
-            fam = QuasiPairing(5, pairs)
+        for pairs in all_quasi_pairings(range(7)):
+            fam = QuasiPairing(7, pairs)
             want = naive_is_irreducible(support(fam), anatomy(fam).blocks)
             assert is_irreducible_quasi(fam) == want
 

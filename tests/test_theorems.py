@@ -5,17 +5,22 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import revtour.theorems
 from revtour import (
+    EnumSpec,
+    GuardError,
     PairFamily,
     Pairing,
     QuasiPairing,
     corollaries_range,
     corollary_checks,
+    enumerate_families,
     is_irreducible_pairing,
     is_module,
     reverse_pairs,
@@ -29,6 +34,13 @@ from revtour import (
 from revtour.theorems import CHECKS, check_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def patch_sides(monkeypatch, **sides):
+    """Swap the sides of the named table rows for the duration of a test."""
+    rows = tuple(replace(c, sides=sides[c.label]) if c.label in sides else c for c in CHECKS)
+    monkeypatch.setattr("revtour.theorems.CHECKS", rows)
+    monkeypatch.setattr("revtour.theorems._BY_LABEL", {c.label: c for c in rows})
 
 
 class TestTheorem1:
@@ -140,7 +152,6 @@ class TestVerifyRange:
         assert report.passed and report.checked == 9
 
     def test_jobs_do_not_change_the_outcome(self):
-        # Corollaries at n = 7 check 315 families per row, enough for the pool.
         for theorem, n_min, n_max in ((2, 5, 6), (3, 5, 6), ("corollaries", 5, 7)):
             serial = verify_range(theorem, n_min, n_max)
             parallel = verify_range(theorem, n_min, n_max, jobs=2)
@@ -163,6 +174,72 @@ class TestVerifyRange:
         # Corollary 1 at n = 6; corollaries 3 and 2 both take the 315 quasi-pairings at n = 7.
         assert enumerated == [(6, "pairing"), (7, "quasi")]
         assert report.passed and report.checked == 15 + 2 * 315
+
+    def test_rows_filed_by_n_then_row_then_enumeration(self, monkeypatch, fake_pool):
+        # Corollaries 3 and 2 see each quasi-pairing at n = 7 in turn, so
+        # their violations arrive interleaved; make every one a violation.
+        patch_sides(
+            monkeypatch,
+            corollary3=lambda n, family: (True, False, {}),
+            corollary2=lambda n, family: (False, True, {}),
+        )
+        serial = verify_range("corollaries", 5, 7)
+        pooled = verify_range("corollaries", 5, 7, jobs=2)
+        assert fake_pool == [2]
+        quasi = {
+            n: [f.serialize() for f in enumerate_families(EnumSpec(n, "quasi"))] for n in (5, 7)
+        }
+        assert [(i.n, i.label, i.family.serialize()) for i in serial.violations] == (
+            [(5, "corollary3", pairs) for pairs in quasi[5]]
+            + [(7, "corollary3", pairs) for pairs in quasi[7]]
+            + [(7, "corollary2", pairs) for pairs in quasi[7]]
+        )
+        assert [i.to_record() for i in pooled.violations] == [
+            i.to_record() for i in serial.violations
+        ]
+
+    @pytest.mark.parametrize("lhs, rhs, filed", [
+        (True, False, "recorded"),
+        (False, True, "violations"),
+    ])
+    def test_one_way_row_records_only_lhs_without_rhs(self, monkeypatch, lhs, rhs, filed):
+        patch_sides(monkeypatch, theorem2=lambda n, family: (lhs, rhs, {}))
+        report = verify_range(2, 5, 5)
+        assert report.checked == 60 and len(getattr(report, filed)) == 60
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_pool, jobs):
+        events = []
+        real_enumerate = revtour.theorems.enumerate_families
+        real_check = revtour.theorems.check_instance
+
+        def enumerating(spec, max_n=None):
+            for family in real_enumerate(spec, max_n=max_n):
+                events.append("family")
+                yield family
+
+        def checking(label, n, family):
+            events.append("check")
+            return real_check(label, n, family)
+
+        monkeypatch.setattr("revtour.theorems.enumerate_families", enumerating)
+        monkeypatch.setattr("revtour.theorems.check_instance", checking)
+        report = verify_range(3, 6, 6, jobs=jobs)
+        assert report.checked == 240
+        # The first family is checked before the second is enumerated.
+        assert events[:3] == ["family", "check", "family"]
+
+    def test_guard_fails_before_any_work(self, monkeypatch, fake_pool):
+        enumerated = []
+
+        def counting(spec, max_n=None):
+            enumerated.append(spec.n)
+            return iter(())
+
+        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
+        with pytest.raises(GuardError, match="n <= 12, got 13"):
+            verify_range(3, 12, 13, jobs=2)
+        assert enumerated == [] and fake_pool == []
 
     def test_jobs_capped_at_cpu_count(self, fake_pool):
         capped = verify_range(3, 6, 6, jobs=10**6)
@@ -258,14 +335,47 @@ class TestCheckTable:
         assert check_instance(label, n, family).to_record() == record
 
 
+# Families over 0..5, checked at n = 5 below.
+PAIRING6 = Pairing(6, [(0, 2), (1, 4)])
+QUASI6 = QuasiPairing(6, [(0, 2), (2, 4), (1, 3)])
+
+
+class TestSizeMismatch:
+    @pytest.mark.parametrize("entry, family", [
+        (theorem1_sides, PAIRING6),
+        (theorem2_sides, QUASI6),
+        (theorem3_conditions, QUASI6),
+        (theorem3_check, QUASI6),
+        *[
+            (partial(check_instance, c.label), PAIRING6 if "pairing" in c.kind else QUASI6)
+            for c in CHECKS
+        ],
+    ])
+    def test_family_size_must_match_n(self, entry, family):
+        with pytest.raises(ValueError, match="family over n=6 vertices checked at n=5"):
+            entry(5, family)
+
+
 class TestInvariants:
     """Checker invariants raise RuntimeError, so they hold under python -O."""
 
-    def test_c4_endpoint(self):
-        # Read at n = 5, a family over 0..6 puts the hub 4 at the right
-        # end while its neighbour 5 is still in the support, so (C4) holds.
-        family = QuasiPairing(7, [(3, 4), (4, 5)])
-        with pytest.raises(RuntimeError, match="n=5, pairs '3-4,4-5'.*endpoint"):
+    def test_c4_endpoint(self, monkeypatch):
+        # (C4) needs both neighbours of the hub in the support, which no
+        # hub at an end of 0..n-1 has.  A hub that compares equal to every
+        # vertex, the ends included, stands in for a broken anatomy.
+        class EveryVertex(int):
+            def __eq__(self, other):
+                return True
+
+            __hash__ = int.__hash__
+
+        real = revtour.theorems.anatomy
+        monkeypatch.setattr(
+            "revtour.theorems.anatomy",
+            lambda family: replace(real(family), hub=EveryVertex(real(family).hub)),
+        )
+        family = QuasiPairing(5, [(0, 2), (2, 3), (1, 4)])
+        with pytest.raises(RuntimeError, match="n=5, pairs '0-2,1-4,2-3'.*endpoint"):
             theorem3_conditions(5, family)
 
     def test_full_support_meets_every_comodule(self, monkeypatch):
