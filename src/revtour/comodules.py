@@ -18,11 +18,10 @@ from .core import (
     _mask_vertices,
     _out_rows,
     _vertex_mask,
-    is_indecomposable,
-    reverse_pairs,
-    transitive,
+    is_indecomposable_rows,
+    reversal_rows,
 )
-from .pairs import PairFamily
+from .pairs import PairFamily, _normalize, is_order_transversal
 
 # Largest n for the minimal co-module subset scan.
 MINIMAL_SCAN_LIMIT = 14
@@ -153,11 +152,6 @@ def is_transversal(vertices: Iterable[int], family: Iterable[Iterable[int]]) -> 
     return all(chosen & set(member) for member in family)
 
 
-def _minimal_comodules_or_empty(n: int) -> ComoduleFamily:
-    # Total orders below 3 vertices have no co-modules at all.
-    return minimal_comodules_total_order(n) if n >= 3 else ComoduleFamily(n, ())
-
-
 def indecomposable_implies_transversal(n: int, family: PairFamily) -> bool:
     """Check one instance of the support-transversal implication.
 
@@ -168,7 +162,7 @@ def indecomposable_implies_transversal(n: int, family: PairFamily) -> bool:
     """
     if n < 1:
         raise ValueError(f"ambient size must be positive, got {n}")
-    t = reverse_pairs(transitive(n), family)
-    if not is_indecomposable(t):
+    if not is_indecomposable_rows(reversal_rows(n, _normalize(n, family)), (1 << n) - 1):
         return True
-    return is_transversal(family.support, _minimal_comodules_or_empty(n))
+    # Total orders below 3 vertices have no co-modules at all.
+    return n < 3 or is_order_transversal(n, sum(1 << v for v in family.support))

@@ -17,6 +17,8 @@ from .core import (
     Tournament,
     canonical_form,
     is_indecomposable,
+    is_indecomposable_rows,
+    reversal_rows,
     reverse_pairs,
     transitive,
 )
@@ -123,7 +125,7 @@ def _passes(spec: EnumSpec, family: PairFamily) -> bool:
         if spec.is_quasi:
             return is_irreducible_quasi(family)
         return is_irreducible_pairing(family)
-    return is_indecomposable(reverse_pairs(transitive(spec.n), family))
+    return is_indecomposable_rows(reversal_rows(spec.n, family.pairs), (1 << spec.n) - 1)
 
 
 def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:

@@ -40,6 +40,17 @@ def _normalize(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen))
 
 
+def is_order_transversal(n: int, mask: int) -> bool:
+    """True when the vertex mask meets every minimal co-module of the total
+    order on 0..n-1, n >= 3: {0}, {n-1} and each {i, i+1} for 1 <= i <= n-3
+    (``comodules.minimal_comodules_total_order``).  So it holds both ends
+    and misses no two consecutive vertices."""
+    if n < 3:
+        raise ValueError(f"total-order co-module formula needs n >= 3, got {n}")
+    missing = ~mask & (1 << n) - 1
+    return not missing & (1 | 1 << n - 1) and not missing & missing >> 1
+
+
 @dataclass(frozen=True, eq=False)
 class PairFamily:
     """A set of unordered vertex pairs over the ambient set 0..n-1.
@@ -72,6 +83,11 @@ class PairFamily:
     def support(self) -> frozenset[int]:
         """Union of all pairs."""
         return frozenset(v for pair in self.pairs for v in pair)
+
+    @cached_property
+    def transversal(self) -> bool:
+        """True when the support meets every minimal co-module of the total order."""
+        return is_order_transversal(self.n, sum(1 << v for v in self.support))
 
     @cached_property
     def _anatomy(self) -> "QuasiAnatomy":

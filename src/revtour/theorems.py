@@ -43,11 +43,9 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
-from .comodules import is_transversal, minimal_comodules_total_order
-from .core import delete_vertex, is_indecomposable, reverse_pairs, transitive
+from .core import is_indecomposable_rows, reversal_rows
 from .enumeration import EnumSpec, check_guard, enumerate_families
 from .pairs import (
     PairFamily,
@@ -135,17 +133,13 @@ def _same_size(n: int, family: PairFamily) -> None:
         raise ValueError(f"family over n={family.n} vertices checked at n={n}")
 
 
-def _transversal(n: int, family: PairFamily) -> bool:
-    return is_transversal(family.support, minimal_comodules_total_order(n))
-
-
 def _theorem1_sides(n: int, family: PairFamily) -> Sides:
     _same_size(n, family)
     if classify(family) != "pairing":
         raise ValueError("theorem 1 takes a partial pairing")
     irreducible = is_irreducible_pairing(family)
-    transversal = _transversal(n, family)
-    lhs = is_indecomposable(reverse_pairs(transitive(n), family))
+    transversal = family.transversal
+    lhs = is_indecomposable_rows(reversal_rows(n, family.pairs), (1 << n) - 1)
     return lhs, irreducible and transversal, {
         "irreducible": irreducible, "transversal": transversal
     }
@@ -154,11 +148,12 @@ def _theorem1_sides(n: int, family: PairFamily) -> Sides:
 def _theorem2_sides(n: int, family: PairFamily) -> Sides:
     _same_size(n, family)
     shape = anatomy(family)
-    t = reverse_pairs(transitive(n), family)
-    whole = is_indecomposable(t)
-    drop_low = is_indecomposable(delete_vertex(t, shape.low))
-    drop_high = is_indecomposable(delete_vertex(t, shape.high))
-    lhs = is_irreducible_quasi(family) and _transversal(n, family)
+    rows = reversal_rows(n, family.pairs)
+    ground = (1 << n) - 1
+    whole = is_indecomposable_rows(rows, ground)
+    drop_low = is_indecomposable_rows(rows, ground ^ 1 << shape.low)
+    drop_high = is_indecomposable_rows(rows, ground ^ 1 << shape.high)
+    lhs = is_irreducible_quasi(family) and family.transversal
     return lhs, whole or drop_low or drop_high, {
         "whole": whole, "drop_low": drop_low, "drop_high": drop_high
     }
@@ -187,10 +182,14 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
     """
     _same_size(n, family)
     _warn_outside_hypothesis(n)
+    return _theorem3_conditions(n, family)
+
+
+def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
     shape = anatomy(family)
     supp = family.support
     pairset = set(family.pairs)
-    c1 = is_irreducible_quasi(family) and _transversal(n, family)
+    c1 = is_irreducible_quasi(family) and family.transversal
     c2 = shape.high >= shape.low + 2
     c3 = not any(
         (v, v + 2) in pairset
@@ -214,10 +213,9 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
 
 
 def _theorem3_sides(n: int, family: PairFamily) -> Sides:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c1, c2, c3, c4 = theorem3_conditions(n, family)
-    lhs = is_indecomposable(reverse_pairs(transitive(n), family))
+    _same_size(n, family)
+    c1, c2, c3, c4 = _theorem3_conditions(n, family)
+    lhs = is_indecomposable_rows(reversal_rows(n, family.pairs), (1 << n) - 1)
     return lhs, c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
@@ -285,7 +283,7 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     """Evaluate the table row ``label`` on one family over 0..n-1."""
     check = _BY_LABEL[label]
     lhs, rhs, details = check.sides(n, family)
-    if not check.kind.startswith("partial") and not _transversal(n, family):
+    if not check.kind.startswith("partial") and not family.transversal:
         raise _invariant_broken(n, family, "full support misses a minimal co-module")
     return TheoremInstance(
         n, family, lhs, rhs, details,
@@ -293,9 +291,13 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     )
 
 
-def _check_family(task: tuple[tuple[str, ...], int, PairFamily]) -> list[TheoremInstance]:
+def _check_family(
+    task: tuple[tuple[str, ...], int, PairFamily]
+) -> tuple[int, list[TheoremInstance]]:
+    """The number of rows checked on one family and the instances to file."""
     labels, n, family = task
-    return [check_instance(label, n, family) for label in labels]
+    instances = [check_instance(label, n, family) for label in labels]
+    return len(labels), [i for i in instances if i.in_hypothesis and i.lhs != i.rhs]
 
 
 def verify_range(
@@ -334,9 +336,9 @@ def verify_range(
     tasks = ((labels, spec.n, f) for labels, spec in plan for f in enumerate_families(spec, max_n))
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
         mapped = pool.imap(_check_family, tasks, POOL_CHUNK) if pool else map(_check_family, tasks)
-        for inst in chain.from_iterable(mapped):
-            report.checked += 1
-            if inst.in_hypothesis and inst.lhs != inst.rhs:
+        for checked, filed in mapped:
+            report.checked += checked
+            for inst in filed:
                 one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
                 (report.recorded if one_way else report.violations).append(inst)
     # Rows arrive interleaved, family by family; file them in table order at each n.

@@ -16,6 +16,7 @@ from revtour import (
     reverse_pairs,
     transitive,
 )
+from revtour.pairs import is_order_transversal
 
 
 def cycle3():
@@ -127,6 +128,25 @@ class TestTransversal:
         assert is_transversal(set(), [])
 
 
+class TestOrderTransversal:
+    def test_mask_test_equals_the_comodule_test(self):
+        for n in range(3, 11):
+            comodules = minimal_comodules_total_order(n)
+            for mask in range(1 << n):
+                support = [v for v in range(n) if mask >> v & 1]
+                assert is_order_transversal(n, mask) == is_transversal(support, comodules), (n, mask)
+
+    def test_needs_three_vertices(self):
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="needs n >= 3, got"):
+                is_order_transversal(n, (1 << n) - 1)
+
+    def test_family_transversal_reads_the_support(self):
+        assert PairFamily(5, [(0, 2), (1, 4)]).transversal
+        assert not PairFamily(5, [(0, 2), (1, 3)]).transversal
+        assert not PairFamily(5, [(1, 4), (2, 3)]).transversal
+
+
 class TestTransversalImplication:
     def test_indecomposable_witness(self):
         assert indecomposable_implies_transversal(5, PairFamily(5, [(0, 2), (1, 4)]))
@@ -145,3 +165,7 @@ class TestTransversalImplication:
         assert indecomposable_implies_transversal(2, PairFamily(2, [(0, 1)]))
         with pytest.raises(ValueError):
             indecomposable_implies_transversal(0, PairFamily(0, []))
+
+    def test_pair_outside_the_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="out of range 0..4"):
+            indecomposable_implies_transversal(5, PairFamily(7, [(0, 2), (1, 6)]))

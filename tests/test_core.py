@@ -3,12 +3,14 @@
 import pytest
 
 from revtour import (
+    EnumSpec,
     GuardError,
     Tournament,
     all_modules_bruteforce,
     canonical_form,
     delete_vertex,
     dual,
+    enumerate_families,
     is_indecomposable,
     is_isomorphic,
     is_module,
@@ -18,6 +20,7 @@ from revtour import (
     subtournament,
     transitive,
 )
+from revtour.core import _mask_vertices, _out_rows, is_indecomposable_rows, reversal_rows
 
 from oracles import modules_by_definition
 
@@ -196,6 +199,41 @@ class TestIndecomposable:
                 m for m in all_modules_bruteforce(t) if 2 <= len(m) <= t.n - 1
             ]
             assert is_indecomposable(t) == (not nontrivial)
+
+
+class TestRowPath:
+    """Out-rows built from a family, and the test on a ground mask."""
+
+    def test_rows_are_those_of_the_reversed_order(self):
+        for n in range(8):
+            for kind in ("partial-pairing", "partial-quasi"):
+                for family in enumerate_families(EnumSpec(n, kind)):
+                    t = reverse_pairs(transitive(n), family)
+                    assert reversal_rows(n, family.pairs) == _out_rows(t), family
+
+    def test_ground_mask_is_the_subtournament(self):
+        for n in range(5):
+            for bits in range(1 << n * (n - 1) // 2):
+                t = Tournament(n, bits)
+                for ground in range(1 << n):
+                    sub, _ = subtournament(t, _mask_vertices(ground))
+                    nontrivial = [
+                        m for m in all_modules_bruteforce(sub) if 2 <= len(m) <= sub.n - 1
+                    ]
+                    assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
+
+    def test_modules_of_distant_vertices_only(self):
+        # Every seed {i, i+1} closes to everything; only the seeds {0, 3}
+        # and {1, 4} find the two nontrivial modules.
+        t = reverse_pairs(transitive(5), [(0, 2), (1, 3), (2, 4)])
+        rows = _out_rows(t)
+        assert [module_closure(t, {i, i + 1}) for i in range(4)] == [frozenset(range(5))] * 4
+        assert all_modules_bruteforce(t)[6:-1] == [frozenset({0, 3}), frozenset({1, 4})]
+        assert not is_indecomposable(t)
+        assert not is_indecomposable_rows(rows, 0b11111)
+        # 0 -> 1 -> 2 -> 0 is a cycle; 0 beats 1 and 3 in {0, 1, 3}.
+        assert is_indecomposable_rows(rows, 0b00111)
+        assert not is_indecomposable_rows(rows, 0b01011)
 
 
 class TestAllModulesBruteforce:

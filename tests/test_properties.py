@@ -8,6 +8,7 @@ from revtour import (
     PairFamily,
     Pairing,
     Tournament,
+    all_modules_bruteforce,
     anatomy,
     classify,
     components,
@@ -20,8 +21,9 @@ from revtour import (
     mates,
     mirrored,
     module_closure,
+    subtournament,
 )
-from revtour.core import pair_count
+from revtour.core import _out_rows, is_indecomposable_rows, pair_count
 
 
 @st.composite
@@ -43,6 +45,13 @@ def tournaments_with_pairs(draw, max_n=8):
 def tournaments_with_subset(draw, max_n=8):
     t = draw(tournaments(max_n))
     members = draw(st.sets(st.integers(min_value=0, max_value=t.n - 1)))
+    return t, members
+
+
+@st.composite
+def tournaments_with_ground(draw, max_n=10):
+    t = draw(tournaments(max_n).filter(lambda t: t.n >= 3))
+    members = draw(st.sets(st.integers(min_value=0, max_value=t.n - 1), min_size=3))
     return t, members
 
 
@@ -69,6 +78,15 @@ def test_dual_commutes_with_reversal(case):
     from revtour import reverse_pairs
 
     assert dual(reverse_pairs(t, pairs)) == reverse_pairs(dual(t), pairs)
+
+
+@given(tournaments_with_ground())
+def test_ground_mask_verdict_is_the_module_scan(case):
+    t, members = case
+    sub, _ = subtournament(t, members)
+    nontrivial = [m for m in all_modules_bruteforce(sub) if 2 <= len(m) <= sub.n - 1]
+    ground = sum(1 << v for v in members)
+    assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
 
 
 @given(tournaments_with_subset())

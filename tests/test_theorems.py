@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -18,9 +19,12 @@ from revtour import (
     PairFamily,
     Pairing,
     QuasiPairing,
+    anatomy,
     corollaries_range,
     corollary_checks,
+    delete_vertex,
     enumerate_families,
+    is_indecomposable,
     is_irreducible_pairing,
     is_module,
     reverse_pairs,
@@ -31,7 +35,7 @@ from revtour import (
     transitive,
     verify_range,
 )
-from revtour.theorems import CHECKS, check_instance
+from revtour.theorems import CHECKS, _check_family, check_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -120,6 +124,42 @@ class TestTheorem3Check:
         assert is_module(reverse_pairs(transitive(5), family), {0, 1})
 
 
+class TestTheorem3Warnings:
+    FAMILY = QuasiPairing(4, [(0, 2), (2, 3)])
+
+    def test_public_conditions_warn_below_hypothesis(self):
+        with pytest.warns(UserWarning, match="outside the hypothesis"):
+            theorem3_conditions(4, self.FAMILY)
+
+    def test_table_row_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = check_instance("theorem3", 4, self.FAMILY)
+        assert not inst.in_hypothesis
+
+
+class TestRowPath:
+    """The sides built on out-rows agree with the packed tournament and
+    ``delete_vertex``."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_verdicts_match_the_tournament_path(self, n):
+        def indecomposable(family, drop=None):
+            t = reverse_pairs(transitive(n), family)
+            return is_indecomposable(t if drop is None else delete_vertex(t, drop))
+
+        for family in enumerate_families(EnumSpec(n, "partial-pairing")):
+            assert check_instance("theorem1", n, family).lhs == indecomposable(family)
+        for family in enumerate_families(EnumSpec(n, "partial-quasi")):
+            shape = anatomy(family)
+            assert check_instance("theorem2", n, family).details == {
+                "whole": indecomposable(family),
+                "drop_low": indecomposable(family, shape.low),
+                "drop_high": indecomposable(family, shape.high),
+            }, family
+            assert check_instance("theorem3", n, family).lhs == indecomposable(family)
+
+
 class TestConditionConsistency:
     def test_c1_is_the_deletion_theorem_left_side(self):
         from revtour import EnumSpec, enumerate_families
@@ -160,6 +200,35 @@ class TestVerifyRange:
                 assert [i.to_record() for i in getattr(serial, filed)] == [
                     i.to_record() for i in getattr(parallel, filed)
                 ]
+
+    def test_workers_return_only_filed_instances(self):
+        agreeing = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
+        one_way = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        assert _check_family((("theorem2",), 5, agreeing)) == (1, [])
+        assert _check_family((("corollary3", "corollary2"), 7, QuasiPairing(
+            7, [(0, 2), (2, 4), (1, 5), (3, 6)]))) == (2, [])
+        checked, filed = _check_family((("theorem2",), 5, one_way))
+        assert checked == 1
+        assert [i.to_record() for i in filed] == [
+            check_instance("theorem2", 5, one_way).to_record()
+        ]
+        # Below the hypothesis, lhs != rhs is tagged but never filed.
+        below = Pairing(4, [(0, 2), (1, 3)])
+        assert check_instance("theorem1", 4, below).lhs is False
+        assert _check_family((("theorem1",), 4, below)) == (1, [])
+
+    def test_transversal_runs_once_per_family(self, monkeypatch):
+        calls = []
+        real = revtour.pairs.is_order_transversal
+
+        def counting(n, mask):
+            calls.append(n)
+            return real(n, mask)
+
+        monkeypatch.setattr("revtour.pairs.is_order_transversal", counting)
+        report = verify_range("corollaries", 7, 7)
+        # Corollaries 3 and 2 each check the 315 quasi-pairings of 7 points.
+        assert report.checked == 2 * 315 and len(calls) == 315
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
@@ -379,7 +448,7 @@ class TestInvariants:
             theorem3_conditions(5, family)
 
     def test_full_support_meets_every_comodule(self, monkeypatch):
-        monkeypatch.setattr("revtour.theorems.is_transversal", lambda support, comodules: False)
+        monkeypatch.setattr(PairFamily, "transversal", property(lambda family: False))
         for label, n, family in (
             ("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)])),
             ("corollary2", 7, QuasiPairing(7, [(0, 2), (2, 4), (1, 5), (3, 6)])),
@@ -391,13 +460,13 @@ class TestInvariants:
             verify_range("corollaries", 5, 5)
 
     def test_corollary3_reduced_c4_agrees(self, monkeypatch):
-        real = revtour.theorems.theorem3_conditions
+        real = revtour.theorems._theorem3_conditions
 
         def flipped_c4(n, family):
             c1, c2, c3, c4 = real(n, family)
             return c1, c2, c3, not c4
 
-        monkeypatch.setattr("revtour.theorems.theorem3_conditions", flipped_c4)
+        monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c4)
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,0-4,1-3'.*reduced"):
             check_instance("corollary3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
 
@@ -405,8 +474,8 @@ class TestInvariants:
         child = textwrap.dedent("""
             import sys
             import revtour.theorems as theorems
-            from revtour import Pairing
-            theorems.is_transversal = lambda support, comodules: False
+            from revtour import PairFamily, Pairing
+            PairFamily.transversal = property(lambda family: False)
             try:
                 theorems.check_instance("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)]))
             except RuntimeError as exc:
