@@ -85,9 +85,14 @@ class PairFamily:
         return frozenset(v for pair in self.pairs for v in pair)
 
     @cached_property
+    def mask(self) -> int:
+        """The support as a bit mask: bit v set for each covered vertex v."""
+        return sum(1 << v for v in self.support)
+
+    @cached_property
     def transversal(self) -> bool:
         """True when the support meets every minimal co-module of the total order."""
-        return is_order_transversal(self.n, sum(1 << v for v in self.support))
+        return is_order_transversal(self.n, self.mask)
 
     @cached_property
     def _anatomy(self) -> "QuasiAnatomy":
@@ -216,10 +221,14 @@ def components(family: PairFamily) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def mirror_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted pairs (x, y), x < y, under the order-reversing relabeling x -> n-1-x."""
+    return tuple(sorted((n - 1 - y, n - 1 - x) for x, y in pairs))
+
+
 def mirrored(family: PairFamily) -> PairFamily:
     """The family under the order-reversing relabeling x -> n-1-x."""
-    flipped = [(family.n - 1 - y, family.n - 1 - x) for x, y in family.pairs]
-    return type(family)(family.n, flipped)
+    return type(family)(family.n, mirror_pairs(family.n, family.pairs))
 
 
 def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[int]]) -> bool:

@@ -33,6 +33,12 @@ theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides and its filing rule.  One driver,
 ``verify_range``, runs the rows of a theorem id or of "corollaries",
 streaming each enumerated family once through every row of its kind.
+
+The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
+which has the same modules, and every side and condition above is
+invariant under it.  So ``verify_range`` checks one family per mirror
+orbit, the one enumerated first, and counts both members; a filed
+family's mirror image is checked too and filed beside it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, reversal_rows
 from .enumeration import EnumSpec, check_guard, enumerate_families
@@ -53,6 +59,8 @@ from .pairs import (
     classify,
     is_irreducible_pairing,
     is_irreducible_quasi,
+    mirror_pairs,
+    mirrored,
 )
 
 # The characterizations are stated for ground sets of at least 5 vertices.
@@ -62,6 +70,10 @@ CHARACTERIZATION_MIN_N = 5
 POOL_CHUNK = 256
 
 Sides = tuple[bool, bool, dict[str, bool]]
+# The out-rows of T(n, F) and whether T(n, F) is indecomposable.
+Reversal = tuple[list[int], bool]
+# Rows to check, the size, a family and whether its mirror image is another family.
+Task = tuple[tuple[str, ...], int, PairFamily, bool]
 
 
 @dataclass(frozen=True)
@@ -133,27 +145,23 @@ def _same_size(n: int, family: PairFamily) -> None:
         raise ValueError(f"family over n={family.n} vertices checked at n={n}")
 
 
-def _theorem1_sides(n: int, family: PairFamily) -> Sides:
-    _same_size(n, family)
+def _theorem1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     if classify(family) != "pairing":
         raise ValueError("theorem 1 takes a partial pairing")
     irreducible = is_irreducible_pairing(family)
     transversal = family.transversal
-    lhs = is_indecomposable_rows(reversal_rows(n, family.pairs), (1 << n) - 1)
-    return lhs, irreducible and transversal, {
+    return reversal[1], irreducible and transversal, {
         "irreducible": irreducible, "transversal": transversal
     }
 
 
-def _theorem2_sides(n: int, family: PairFamily) -> Sides:
-    _same_size(n, family)
+def _theorem2_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     shape = anatomy(family)
-    rows = reversal_rows(n, family.pairs)
+    rows, whole = reversal
     ground = (1 << n) - 1
-    whole = is_indecomposable_rows(rows, ground)
     drop_low = is_indecomposable_rows(rows, ground ^ 1 << shape.low)
     drop_high = is_indecomposable_rows(rows, ground ^ 1 << shape.high)
-    lhs = is_irreducible_quasi(family) and family.transversal
+    lhs = family.transversal and is_irreducible_quasi(family)
     return lhs, whole or drop_low or drop_high, {
         "whole": whole, "drop_low": drop_low, "drop_high": drop_high
     }
@@ -162,61 +170,56 @@ def _theorem2_sides(n: int, family: PairFamily) -> Sides:
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(indecomposable, irreducible-transversal) for a partial pairing."""
     _warn_outside_hypothesis(n)
-    lhs, rhs, _ = _theorem1_sides(n, family)
-    return lhs, rhs
+    inst = check_instance("theorem1", n, family)
+    return inst.lhs, inst.rhs
 
 
 def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
     _warn_outside_hypothesis(n)
-    lhs, rhs, _ = _theorem2_sides(n, family)
-    return lhs, rhs
+    inst = check_instance("theorem2", n, family)
+    return inst.lhs, inst.rhs
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
     """The four conditions (C1)-(C4) for a partial quasi-pairing.
 
-    (C3) and (C4) quantify v over all vertices; membership tests make
-    out-of-range references fail the antecedent or the consequent as
-    written, so no extra range guards are needed.
+    (C3) and (C4) quantify v over all vertices, but only pairs
+    {x, x+2} and {x, x+1} can meet their antecedents, so each is a test
+    on the bit mask of such pairs' least ends.
     """
     _same_size(n, family)
     _warn_outside_hypothesis(n)
     return _theorem3_conditions(n, family)
 
 
+def _starts(family: PairFamily, gap: int) -> int:
+    """Bit x set for each pair {x, x + gap} of the family."""
+    return sum(1 << x for x, y in family.pairs if y - x == gap)
+
+
 def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
     shape = anatomy(family)
-    supp = family.support
-    pairset = set(family.pairs)
-    c1 = is_irreducible_quasi(family) and family.transversal
+    hub = shape.hub
+    c1 = family.transversal and is_irreducible_quasi(family)
     c2 = shape.high >= shape.low + 2
-    c3 = not any(
-        (v, v + 2) in pairset
-        and (v + 1, v + 3) in pairset
-        and shape.hub not in (v, v + 3)
-        for v in range(n)
+    # {x, x+2} and {x+1, x+3} together need the hub at x or x+3.
+    spans2 = _starts(family, 2)
+    c3 = not spans2 & spans2 >> 1 & ~(1 << hub | 1 << hub >> 3)
+    # Each {x, x+1} must hold the hub, whose two neighbours lie in the support.
+    adjacent = _starts(family, 1)
+    c4 = not adjacent or (
+        not adjacent & ~(1 << hub | 1 << hub >> 1) and family.mask << 1 >> hub & 5 == 5
     )
-    c4 = not any(
-        (v, v + 1) in pairset
-        and not (
-            shape.hub in (v, v + 1)
-            and shape.hub - 1 in supp
-            and shape.hub + 1 in supp
-        )
-        for v in range(n)
-    )
-    if c4 and shape.hub in (0, n - 1) and any((v, v + 1) in pairset for v in range(n)):
-        # The containment requirement already rules out the endpoints.
+    if c4 and adjacent and hub in (0, n - 1):
+        # The neighbour requirement already rules out the endpoints.
         raise _invariant_broken(n, family, "(C4) holds with the hub at an endpoint")
     return c1, c2, c3, c4
 
 
-def _theorem3_sides(n: int, family: PairFamily) -> Sides:
-    _same_size(n, family)
+def _theorem3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     c1, c2, c3, c4 = _theorem3_conditions(n, family)
-    lhs = is_indecomposable_rows(reversal_rows(n, family.pairs), (1 << n) - 1)
-    return lhs, c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
+    return reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
 def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
@@ -225,22 +228,23 @@ def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
     return check_instance("theorem3", n, family)
 
 
-def _corollary1_sides(n: int, family: PairFamily) -> Sides:
+def _corollary1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     # Corollary 1 states theorem 1's equivalence with irreducibility on the left.
-    indecomposable, irreducible, details = _theorem1_sides(n, family)
+    indecomposable, irreducible, details = _theorem1_sides(n, family, reversal)
     return irreducible, indecomposable, {"transversal": details["transversal"]}
 
 
-def _corollary3_sides(n: int, family: PairFamily) -> Sides:
-    lhs, rhs, details = _theorem3_sides(n, family)
+def _reduced_c4(n: int, family: PairFamily) -> bool:
+    """Corollary 3's (C4): each {x, x+1} holds the hub, which is no end of 0..n-1."""
     hub = anatomy(family).hub
-    pairset = set(family.pairs)
-    reduced_c4 = not any(
-        (v, v + 1) in pairset and hub not in {v, v + 1} - {0, n - 1}
-        for v in range(n)
-    )
+    adjacent = _starts(family, 1)
+    return not adjacent or (not adjacent & ~(1 << hub | 1 << hub >> 1) and 0 < hub < n - 1)
+
+
+def _corollary3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
+    lhs, rhs, details = _theorem3_sides(n, family, reversal)
     # On full support the two readings of the adjacent-pair condition agree.
-    if reduced_c4 != details["c4"]:
+    if _reduced_c4(n, family) != details["c4"]:
         raise _invariant_broken(n, family, "the reduced (C4) disagrees with (C4)")
     return lhs, rhs, details
 
@@ -251,16 +255,17 @@ class Check:
 
     ``run`` is the ``verify_range`` theorem id whose runs include the row,
     ``kind`` the enumerated family kind, ``applies`` the ambient sizes the
-    row is checked at, and ``sides`` returns (lhs, rhs, details).  At
-    ``one_way_at`` only rhs => lhs is claimed: an instance with lhs and
-    not rhs there is recorded, not counted as a violation.
+    row is checked at, and ``sides`` returns (lhs, rhs, details) from the
+    size, the family and the ``Reversal`` that all rows checking the family
+    share.  At ``one_way_at`` only rhs => lhs is claimed: an instance with
+    lhs and not rhs there is recorded, not counted as a violation.
     """
 
     run: int | str
     label: str
     kind: str
     applies: Callable[[int], bool]
-    sides: Callable[[int, PairFamily], Sides]
+    sides: Callable[[int, PairFamily, Reversal], Sides]
     one_way_at: int | None = None
 
 
@@ -281,23 +286,48 @@ _BY_LABEL = {check.label: check for check in CHECKS}
 
 def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     """Evaluate the table row ``label`` on one family over 0..n-1."""
-    check = _BY_LABEL[label]
-    lhs, rhs, details = check.sides(n, family)
-    if not check.kind.startswith("partial") and not family.transversal:
-        raise _invariant_broken(n, family, "full support misses a minimal co-module")
-    return TheoremInstance(
-        n, family, lhs, rhs, details,
-        in_hypothesis=n >= CHARACTERIZATION_MIN_N, label=label,
-    )
+    return _instances((label,), n, family)[0]
 
 
-def _check_family(
-    task: tuple[tuple[str, ...], int, PairFamily]
-) -> tuple[int, list[TheoremInstance]]:
-    """The number of rows checked on one family and the instances to file."""
-    labels, n, family = task
-    instances = [check_instance(label, n, family) for label in labels]
-    return len(labels), [i for i in instances if i.in_hypothesis and i.lhs != i.rhs]
+def _instances(labels: tuple[str, ...], n: int, family: PairFamily) -> list[TheoremInstance]:
+    """The named table rows on one family, which share T(n, F) and its verdict."""
+    _same_size(n, family)
+    rows = reversal_rows(n, family.pairs)
+    reversal = rows, is_indecomposable_rows(rows, (1 << n) - 1)
+    instances = []
+    for label in labels:
+        check = _BY_LABEL[label]
+        lhs, rhs, details = check.sides(n, family, reversal)
+        if not check.kind.startswith("partial") and not family.transversal:
+            raise _invariant_broken(n, family, "full support misses a minimal co-module")
+        instances.append(TheoremInstance(
+            n, family, lhs, rhs, details,
+            in_hypothesis=n >= CHARACTERIZATION_MIN_N, label=label,
+        ))
+    return instances
+
+
+def _orbit_tasks(
+    plan: list[tuple[tuple[str, ...], EnumSpec]], max_n: int | None
+) -> Iterator[Task]:
+    """One task per mirror orbit, for the member the walk meets first."""
+    for labels, spec in plan:
+        for family in enumerate_families(spec, max_n):
+            image = mirror_pairs(spec.n, family.pairs)
+            if family.pairs <= image:
+                yield labels, spec.n, family, family.pairs != image
+
+
+def _check_family(task: Task) -> tuple[int, list[TheoremInstance]]:
+    """The number of rows checked on one mirror orbit and the instances to file."""
+    labels, n, family, paired = task
+    filed = [i for i in _instances(labels, n, family) if i.in_hypothesis and i.lhs != i.rhs]
+    if paired and filed:
+        twins = _instances(tuple(i.label for i in filed), n, mirrored(family))
+        if [(t.lhs, t.rhs) for t in twins] != [(i.lhs, i.rhs) for i in filed]:
+            raise _invariant_broken(n, family, "its mirror image has other sides")
+        filed += twins
+    return len(labels) * (1 + paired), filed
 
 
 def verify_range(
@@ -311,9 +341,10 @@ def verify_range(
     instance with n_min <= n <= n_max.
 
     Instances outside the stated hypothesis are evaluated and tagged but
-    never counted as violations.  Filed instances are ordered by n, then
-    table row, then enumeration order, whatever the job count.  ``jobs``
-    must be at least 1 and is capped at the number of CPUs.
+    never counted as violations.  One family per mirror orbit is checked
+    and ``checked`` counts both members.  Filed instances are ordered by
+    n, then table row, then enumeration order, whatever the job count.
+    ``jobs`` must be at least 1 and is capped at the number of CPUs.
     """
     checks = [check for check in CHECKS if check.run == theorem]
     if not checks:
@@ -333,7 +364,7 @@ def verify_range(
     ]
     for _, spec in plan:
         check_guard(spec, max_n)
-    tasks = ((labels, spec.n, f) for labels, spec in plan for f in enumerate_families(spec, max_n))
+    tasks = _orbit_tasks(plan, max_n)
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
         mapped = pool.imap(_check_family, tasks, POOL_CHUNK) if pool else map(_check_family, tasks)
         for checked, filed in mapped:
@@ -341,10 +372,11 @@ def verify_range(
             for inst in filed:
                 one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
                 (report.recorded if one_way else report.violations).append(inst)
-    # Rows arrive interleaved, family by family; file them in table order at each n.
+    # Rows arrive interleaved, orbit by orbit; file them in table order at
+    # each n, then in the walk's order, which is that of the pair tuples.
     rows = [check.label for check in checks]
     for filed in (report.violations, report.recorded):
-        filed.sort(key=lambda inst: (inst.n, rows.index(inst.label)))
+        filed.sort(key=lambda inst: (inst.n, rows.index(inst.label), inst.family.pairs))
     report.ms = (time.perf_counter() - start) * 1000
     return report
 

@@ -7,6 +7,8 @@ sharing nothing with the package internals beyond public data access.
 from itertools import combinations, permutations
 from math import comb
 
+from revtour import enumerate_families
+
 
 def involution_count(n: int) -> int:
     """I(n) = I(n-1) + (n-1) I(n-2), the involutions of an n-set."""
@@ -119,4 +121,55 @@ def canonical_form_by_scan(t) -> str:
     return min(
         "".join(beats[order[a]][order[b]] for a, b in positions)
         for order in permutations(range(t.n))
+    )
+
+
+def unreduced_tasks(plan, max_n):
+    """Every enumerated family as a task of its own, with no mirror image
+    to stand for: ``revtour.theorems._orbit_tasks`` before the mirror-orbit
+    reduction, fed to the same driver."""
+    for labels, spec in plan:
+        for family in enumerate_families(spec, max_n):
+            yield labels, spec.n, family, False
+
+
+def _hub_and_partners(pairs):
+    counts = {}
+    for pair in pairs:
+        for v in pair:
+            counts[v] = counts.get(v, 0) + 1
+    hub = next(v for v, c in counts.items() if c == 2)
+    low, high = sorted(v for pair in pairs if hub in pair for v in pair if v != hub)
+    return hub, low, high
+
+
+def theorem3_conditions_by_sets(n, pairs):
+    """(C1)-(C4) for a quasi-pairing over 0..n-1, quantifying v over every
+    vertex with set membership, as the theorem states them."""
+    pairset = set(pairs)
+    supp = {v for pair in pairs for v in pair}
+    hub, low, high = _hub_and_partners(pairs)
+    blocks = [p for p in pairs if hub not in p] + [(low, hub, high)]
+    comodules = [{0}, {n - 1}] + [{i, i + 1} for i in range(1, n - 2)]
+    c1 = naive_is_irreducible(supp, blocks) and all(supp & c for c in comodules)
+    c2 = high >= low + 2
+    c3 = not any(
+        (v, v + 2) in pairset and (v + 1, v + 3) in pairset and hub not in (v, v + 3)
+        for v in range(n)
+    )
+    c4 = not any(
+        (v, v + 1) in pairset
+        and not (hub in (v, v + 1) and hub - 1 in supp and hub + 1 in supp)
+        for v in range(n)
+    )
+    return c1, c2, c3, c4
+
+
+def reduced_c4_by_sets(n, pairs):
+    """Corollary 3's (C4): every {v, v+1} in the family has its hub in
+    {v, v+1} minus the ends of 0..n-1."""
+    pairset = set(pairs)
+    hub, _, _ = _hub_and_partners(pairs)
+    return not any(
+        (v, v + 1) in pairset and hub not in {v, v + 1} - {0, n - 1} for v in range(n)
     )

@@ -170,9 +170,10 @@ class TestVerify:
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_pool == []
         _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
-        # One pool for the whole run, fed every family once: 30 quasi-pairings
-        # at n = 5, 15 pairings at n = 6 and 315 quasi-pairings at n = 7.
-        assert fake_pool == [2] and fake_pool.tasks == 30 + 15 + 315
+        # One pool for the whole run, fed one family per mirror orbit: 16 of
+        # the 30 quasi-pairings at n = 5, 11 of the 15 pairings at n = 6 and
+        # 162 of the 315 quasi-pairings at n = 7.
+        assert fake_pool == [2] and fake_pool.tasks == 16 + 11 + 162
         assert MS.sub("", pooled) == MS.sub("", serial)
 
     # sha256 of `verify --theorem T --n-range 3..7` with the "ms" member

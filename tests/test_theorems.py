@@ -35,7 +35,10 @@ from revtour import (
     transitive,
     verify_range,
 )
-from revtour.theorems import CHECKS, _check_family, check_instance
+from revtour.pairs import mirror_pairs
+from revtour.theorems import CHECKS, _check_family, _reduced_c4, _theorem3_conditions, check_instance
+
+from oracles import reduced_c4_by_sets, theorem3_conditions_by_sets, unreduced_tasks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -101,6 +104,28 @@ class TestTheorem3Conditions:
         family = QuasiPairing(5, [(0, 1), (1, 3), (2, 4)])
         c1, c2, c3, c4 = theorem3_conditions(5, family)
         assert c4 is True
+
+
+class TestTheorem3ConditionOracle:
+    """The per-pair mask tests against the set-based reading of (C1)-(C4)."""
+
+    def test_every_partial_quasi_pairing(self):
+        seen = 0
+        for n in range(3, 10):
+            for family in enumerate_families(EnumSpec(n, "partial-quasi")):
+                assert _theorem3_conditions(n, family) == theorem3_conditions_by_sets(
+                    n, family.pairs
+                ), family
+                seen += 1
+        assert seen == 24_885
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
+        for family in enumerate_families(EnumSpec(n, "quasi")):
+            assert (*_theorem3_conditions(n, family), _reduced_c4(n, family)) == (
+                *theorem3_conditions_by_sets(n, family.pairs),
+                reduced_c4_by_sets(n, family.pairs),
+            ), family
 
 
 class TestTheorem3Check:
@@ -204,10 +229,12 @@ class TestVerifyRange:
     def test_workers_return_only_filed_instances(self):
         agreeing = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
         one_way = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        assert _check_family((("theorem2",), 5, agreeing)) == (1, [])
+        # The last member flags a mirror image other than the family: both count.
+        assert _check_family((("theorem2",), 5, agreeing, True)) == (2, [])
         assert _check_family((("corollary3", "corollary2"), 7, QuasiPairing(
-            7, [(0, 2), (2, 4), (1, 5), (3, 6)]))) == (2, [])
-        checked, filed = _check_family((("theorem2",), 5, one_way))
+            7, [(0, 2), (2, 4), (1, 5), (3, 6)]), True)) == (4, [])
+        # This family is its own mirror image, so it is checked and filed once.
+        checked, filed = _check_family((("theorem2",), 5, one_way, False))
         assert checked == 1
         assert [i.to_record() for i in filed] == [
             check_instance("theorem2", 5, one_way).to_record()
@@ -215,7 +242,7 @@ class TestVerifyRange:
         # Below the hypothesis, lhs != rhs is tagged but never filed.
         below = Pairing(4, [(0, 2), (1, 3)])
         assert check_instance("theorem1", 4, below).lhs is False
-        assert _check_family((("theorem1",), 4, below)) == (1, [])
+        assert _check_family((("theorem1",), 4, below, False)) == (1, [])
 
     def test_transversal_runs_once_per_family(self, monkeypatch):
         calls = []
@@ -227,8 +254,24 @@ class TestVerifyRange:
 
         monkeypatch.setattr("revtour.pairs.is_order_transversal", counting)
         report = verify_range("corollaries", 7, 7)
-        # Corollaries 3 and 2 each check the 315 quasi-pairings of 7 points.
-        assert report.checked == 2 * 315 and len(calls) == 315
+        # Corollaries 3 and 2 each check the 315 quasi-pairings of 7 points,
+        # which form 162 mirror orbits; one family per orbit is tested.
+        assert report.checked == 2 * 315 and len(calls) == 162
+
+    def test_corollary_rows_share_the_whole_verdict(self, monkeypatch):
+        calls = []
+        real = revtour.theorems.is_indecomposable_rows
+
+        def counting(rows, ground):
+            calls.append(ground)
+            return real(rows, ground)
+
+        monkeypatch.setattr("revtour.theorems.is_indecomposable_rows", counting)
+        report = verify_range("corollaries", 9, 9)
+        # The 3,780 quasi-pairings of 9 points form 1,904 mirror orbits.  Per
+        # orbit, corollary 3 tests T(9, Q); corollary 2 takes that verdict and
+        # tests the two deletions.
+        assert report.checked == 2 * 3780 and len(calls) == 3 * 1904
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
@@ -249,8 +292,8 @@ class TestVerifyRange:
         # their violations arrive interleaved; make every one a violation.
         patch_sides(
             monkeypatch,
-            corollary3=lambda n, family: (True, False, {}),
-            corollary2=lambda n, family: (False, True, {}),
+            corollary3=lambda n, family, reversal: (True, False, {}),
+            corollary2=lambda n, family, reversal: (False, True, {}),
         )
         serial = verify_range("corollaries", 5, 7)
         pooled = verify_range("corollaries", 5, 7, jobs=2)
@@ -272,7 +315,7 @@ class TestVerifyRange:
         (False, True, "violations"),
     ])
     def test_one_way_row_records_only_lhs_without_rhs(self, monkeypatch, lhs, rhs, filed):
-        patch_sides(monkeypatch, theorem2=lambda n, family: (lhs, rhs, {}))
+        patch_sides(monkeypatch, theorem2=lambda n, family, reversal: (lhs, rhs, {}))
         report = verify_range(2, 5, 5)
         assert report.checked == 60 and len(getattr(report, filed)) == 60
 
@@ -280,19 +323,19 @@ class TestVerifyRange:
     def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_pool, jobs):
         events = []
         real_enumerate = revtour.theorems.enumerate_families
-        real_check = revtour.theorems.check_instance
+        real_rows = revtour.theorems.reversal_rows
 
         def enumerating(spec, max_n=None):
             for family in real_enumerate(spec, max_n=max_n):
                 events.append("family")
                 yield family
 
-        def checking(label, n, family):
+        def checking(n, pairs):
             events.append("check")
-            return real_check(label, n, family)
+            return real_rows(n, pairs)
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", enumerating)
-        monkeypatch.setattr("revtour.theorems.check_instance", checking)
+        monkeypatch.setattr("revtour.theorems.reversal_rows", checking)
         report = verify_range(3, 6, 6, jobs=jobs)
         assert report.checked == 240
         # The first family is checked before the second is enumerated.
@@ -330,6 +373,47 @@ class TestVerifyRange:
         assert doc["violations"] == []
         assert isinstance(doc["ms"], float)
         json.dumps(doc)
+
+
+def report_doc(theorem, jobs=1):
+    doc = verify_range(theorem, 3, 8, jobs=jobs).to_json()
+    del doc["ms"]
+    return doc
+
+
+class TestMirrorOrbits:
+    """Checking one family per mirror orbit gives the report of checking
+    every family, the unreduced stream of ``oracles.unreduced_tasks``."""
+
+    @staticmethod
+    def unreduced_doc(theorem):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("revtour.theorems._orbit_tasks", unreduced_tasks)
+            return report_doc(theorem)
+
+    @pytest.mark.parametrize("theorem", [1, 2, 3, "corollaries"])
+    def test_same_report_as_every_family(self, fake_pool, theorem):
+        oracle = self.unreduced_doc(theorem)
+        assert report_doc(theorem) == oracle
+        assert report_doc(theorem, jobs=2) == oracle
+        assert fake_pool == [2]
+
+    def test_same_report_with_a_planted_bug(self, monkeypatch, fake_pool):
+        real = revtour.theorems._theorem3_conditions
+
+        def flipped_c2(n, family):
+            c1, c2, c3, c4 = real(n, family)
+            return c1, not c2, c3, c4
+
+        monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c2)
+        oracles = {theorem: self.unreduced_doc(theorem) for theorem in (3, "corollaries")}
+        for theorem, oracle in oracles.items():
+            assert report_doc(theorem) == oracle
+            assert report_doc(theorem, jobs=2) == oracle
+        # Hundreds filed, from orbits of two families and from self-mirror ones.
+        filed = [PairFamily.parse(v["n"], v["pairs"]) for v in oracles[3]["violations"]]
+        own_image = [f for f in filed if mirror_pairs(f.n, f.pairs) == f.pairs]
+        assert len(filed) > 300 and 0 < len(own_image) < len(filed)
 
 
 class TestCorollaries:
@@ -425,6 +509,21 @@ class TestSizeMismatch:
             entry(5, family)
 
 
+def not_mirror_invariant(n, family, reversal):
+    # The two sides differ on the family that the walk meets first in a
+    # mirror orbit, and agree on its image.
+    return True, family.pairs > mirror_pairs(n, family.pairs), {}
+
+
+def optimized_stdout(child):
+    """Standard output of the script ``child`` under python -O."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(child)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+
+
 class TestInvariants:
     """Checker invariants raise RuntimeError, so they hold under python -O."""
 
@@ -470,8 +569,13 @@ class TestInvariants:
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,0-4,1-3'.*reduced"):
             check_instance("corollary3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
 
+    def test_mirror_image_has_the_same_sides(self, monkeypatch):
+        patch_sides(monkeypatch, theorem3=not_mirror_invariant)
+        with pytest.raises(RuntimeError, match="n=5, pairs '0-1,0-2'.*mirror image"):
+            verify_range(3, 5, 5)
+
     def test_raises_under_optimize(self):
-        child = textwrap.dedent("""
+        out = optimized_stdout("""
             import sys
             import revtour.theorems as theorems
             from revtour import PairFamily, Pairing
@@ -481,9 +585,24 @@ class TestInvariants:
             except RuntimeError as exc:
                 print(sys.flags.optimize, exc)
         """)
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", child],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        ).stdout
         assert out.startswith("1 invariant broken at n=6, pairs '0-2,1-4,3-5'")
+
+    def test_mirror_invariant_raises_under_optimize(self):
+        out = optimized_stdout("""
+            import sys
+            from dataclasses import replace
+            import revtour.theorems as theorems
+            from revtour.pairs import mirror_pairs
+
+            def not_mirror_invariant(n, family, reversal):
+                return True, family.pairs > mirror_pairs(n, family.pairs), {}
+
+            theorems.CHECKS = tuple(replace(c, sides=not_mirror_invariant) for c in theorems.CHECKS)
+            theorems._BY_LABEL = {c.label: c for c in theorems.CHECKS}
+            try:
+                theorems.verify_range(3, 5, 5)
+            except RuntimeError as exc:
+                print(sys.flags.optimize, exc)
+        """)
+        assert out.startswith("1 invariant broken at n=5, pairs '0-1,0-2'")
+        assert "mirror image" in out
