@@ -4,7 +4,6 @@ exhaustive verification harness for the characterization theorems."""
 
 from .core import (
     GuardError,
-    PERM_SCAN_LIMIT,
     SUBSET_SCAN_LIMIT,
     Tournament,
     all_modules_bruteforce,

@@ -15,14 +15,13 @@ import sys
 from .core import GuardError, Tournament, is_indecomposable, is_module, reverse_pairs, transitive
 from .enumeration import (
     EnumSpec,
-    FULL_ENUM_LIMIT,
-    PARTIAL_ENUM_LIMIT,
     census,
     count_irreducible_pairings,
+    default_limit,
     enumerate_families,
 )
 from .pairs import PairFamily, classify, is_irreducible_pairing, is_irreducible_quasi
-from .theorems import verify_range
+from .theorems import CHECKS, verify_range
 
 
 class _InputError(ValueError):
@@ -58,10 +57,13 @@ def _parse_vertex_set(text: str) -> list[int]:
         raise _InputError(f"bad vertex set {text!r}") from None
 
 
-def _effective_guard(args: argparse.Namespace, default: int) -> int | None:
-    limit = getattr(args, "max_n", None)
+def _effective_guard(args: argparse.Namespace, *kinds: str) -> int | None:
+    """The --max-n override, refused above the enumeration guard of the
+    kinds the verb enumerates unless --unsafe is given."""
+    limit = args.max_n
     if limit is None:
         return None
+    default = min(map(default_limit, kinds))
     if limit > default and not args.unsafe:
         raise _InputError(
             f"--max-n {limit} exceeds the default guard {default}; pass --unsafe to override"
@@ -113,12 +115,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_enum_guard(kind: str) -> int:
-    return PARTIAL_ENUM_LIMIT if kind.startswith("partial") else FULL_ENUM_LIMIT
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    limit = _effective_guard(args, _default_enum_guard(args.kind))
+    limit = _effective_guard(args, args.kind)
     spec = EnumSpec(
         args.n,
         args.kind,
@@ -135,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.m_range)
-    limit = _effective_guard(args, FULL_ENUM_LIMIT)
+    limit = _effective_guard(args, "pairing")
     table = {}
     for m in range(lo, hi + 1):
         if m % 2:
@@ -147,17 +145,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range)
-    limit = _effective_guard(args, PARTIAL_ENUM_LIMIT)
     theorem = args.theorem if args.theorem == "corollaries" else int(args.theorem)
+    limit = _effective_guard(args, *(check.kind for check in CHECKS if check.run == theorem))
     report = verify_range(theorem, lo, hi, jobs=args.jobs, max_n=limit)
     print(json.dumps(report.to_json()))
     return 0 if report.passed else 2
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    limit = _effective_guard(args, _default_enum_guard(args.kind))
-    spec = EnumSpec(args.n, args.kind)
-    for record in census(spec, max_n=limit):
+    limit = _effective_guard(args, args.kind)
+    for record in census(EnumSpec(args.n, args.kind), max_n=limit):
         print(json.dumps(
             {
                 "n": args.n,

@@ -21,7 +21,7 @@ from .core import (
     is_indecomposable_rows,
     reversal_rows,
 )
-from .pairs import PairFamily, _normalize, is_order_transversal
+from .pairs import PairFamily, _same_size
 
 # Largest n for the minimal co-module subset scan.
 MINIMAL_SCAN_LIMIT = 14
@@ -162,7 +162,8 @@ def indecomposable_implies_transversal(n: int, family: PairFamily) -> bool:
     """
     if n < 1:
         raise ValueError(f"ambient size must be positive, got {n}")
-    if not is_indecomposable_rows(reversal_rows(n, _normalize(n, family)), (1 << n) - 1):
+    _same_size(n, family)
+    if not is_indecomposable_rows(reversal_rows(n, family.pairs), (1 << n) - 1):
         return True
     # Total orders below 3 vertices have no co-modules at all.
-    return n < 3 or is_order_transversal(n, sum(1 << v for v in family.support))
+    return n < 3 or family.transversal

@@ -20,11 +20,6 @@ from .pairs import _normalize
 
 # Largest n accepted by subset-scanning oracles (2^n subsets).
 SUBSET_SCAN_LIMIT = 20
-# Largest n accepted by canonical labeling and so by the census class ids.
-# The refinement search is fast well beyond it (the n! scan it replaced is
-# kept in the tests as the oracle), but the census holds every record in
-# one list, so the limit rises only once the census streams.
-PERM_SCAN_LIMIT = 9
 
 
 class GuardError(ValueError):
@@ -317,7 +312,7 @@ def all_modules_bruteforce(t: Tournament, max_n: int | None = None) -> list[froz
     return found
 
 
-def canonical_form(t: Tournament, max_n: int | None = None) -> str:
+def canonical_form(t: Tournament) -> str:
     """Lexicographically smallest arc row over all vertex relabelings.
 
     Two tournaments are isomorphic exactly when their canonical forms are
@@ -341,9 +336,6 @@ def canonical_form(t: Tournament, max_n: int | None = None) -> str:
     only where row k ties.  ``tests/oracles.py`` keeps the n! scan that
     this replaces as the reference.
     """
-    limit = PERM_SCAN_LIMIT if max_n is None else max_n
-    if t.n > limit:
-        raise GuardError(f"canonical labeling allows n <= {limit}, got {t.n}")
     m = pair_count(t.n)
     if m == 0:
         return ""
@@ -376,8 +368,8 @@ def canonical_form(t: Tournament, max_n: int | None = None) -> str:
     return format(value, f"0{m}b")
 
 
-def is_isomorphic(a: Tournament, b: Tournament, max_n: int | None = None) -> bool:
+def is_isomorphic(a: Tournament, b: Tournament) -> bool:
     """True when some relabeling carries one tournament onto the other."""
     if a.n != b.n:
         return False
-    return canonical_form(a, max_n) == canonical_form(b, max_n)
+    return canonical_form(a) == canonical_form(b)

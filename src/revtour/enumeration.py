@@ -13,12 +13,9 @@ from typing import Iterator
 
 from .core import (
     GuardError,
-    PERM_SCAN_LIMIT,
     Tournament,
     canonical_form,
     is_indecomposable,
-    is_indecomposable_rows,
-    reversal_rows,
     reverse_pairs,
     transitive,
 )
@@ -31,7 +28,7 @@ from .pairs import (
 )
 
 KINDS = ("pairing", "partial-pairing", "quasi", "partial-quasi")
-FILTERS = ("all", "irreducible-only", "indecomposable-inv-only")
+FILTERS = ("all", "irreducible-only")
 
 # Partial kinds grow like involution counts; full kinds like double factorials.
 PARTIAL_ENUM_LIMIT = 12
@@ -110,10 +107,14 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
     yield from rec(0, 0)
 
 
+def default_limit(kind: str) -> int:
+    """Largest n the enumeration guard allows for the kind without ``max_n``."""
+    return PARTIAL_ENUM_LIMIT if kind.startswith("partial") else FULL_ENUM_LIMIT
+
+
 def check_guard(spec: EnumSpec, max_n: int | None) -> None:
     """Raise GuardError when the spec is past the enumeration guard."""
-    default = PARTIAL_ENUM_LIMIT if spec.is_partial else FULL_ENUM_LIMIT
-    limit = default if max_n is None else max_n
+    limit = default_limit(spec.kind) if max_n is None else max_n
     if spec.n > limit:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
@@ -121,11 +122,9 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
 def _passes(spec: EnumSpec, family: PairFamily) -> bool:
     if spec.filter == "all":
         return True
-    if spec.filter == "irreducible-only":
-        if spec.is_quasi:
-            return is_irreducible_quasi(family)
-        return is_irreducible_pairing(family)
-    return is_indecomposable_rows(reversal_rows(spec.n, family.pairs), (1 << spec.n) - 1)
+    if spec.is_quasi:
+        return is_irreducible_quasi(family)
+    return is_irreducible_pairing(family)
 
 
 def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:
@@ -152,11 +151,8 @@ def count_irreducible_pairings(m: int, max_m: int | None = None) -> int:
     """Number of irreducible pairings of the full ground set 0..m-1."""
     if m % 2:
         raise ValueError(f"pairings of a full ground set need an even size, got {m}")
-    limit = FULL_ENUM_LIMIT if max_m is None else max_m
-    if m > limit:
-        raise GuardError(f"irreducible-pairing count allows m <= {limit}, got {m}")
     spec = EnumSpec(m, "pairing", "irreducible-only", include_empty=True)
-    return sum(1 for _ in enumerate_families(spec, max_n=limit))
+    return sum(1 for _ in enumerate_families(spec, max_n=max_m))
 
 
 @dataclass(frozen=True)
@@ -170,25 +166,20 @@ class CensusRecord:
     class_id: int | None
 
 
-def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
-    """Evaluate every enumerated family against the total order on 0..n-1.
+def census(spec: EnumSpec, max_n: int | None = None) -> Iterator[CensusRecord]:
+    """Evaluate every enumerated family against the total order on 0..n-1,
+    yielding one record per family as it is made.
 
     Each record carries the reversed tournament, its indecomposability,
     the family's irreducibility, and, for indecomposable results, an
-    isomorphism class id assigned by first occurrence.  Distinct families
-    always give distinct tournaments; the scan raises RuntimeError otherwise.
+    isomorphism class id assigned by first occurrence.  The enumeration
+    guard is the only size limit.  Distinct families always give distinct
+    tournaments; the scan raises RuntimeError otherwise.
     """
-    class_limit = PERM_SCAN_LIMIT if max_n is None else max_n
-    if spec.n > class_limit:
-        raise GuardError(
-            "census class ids come from canonical labeling by refinement, which "
-            f"allows n <= {class_limit}, got {spec.n}"
-        )
     base = transitive(spec.n)
     judge = is_irreducible_quasi if spec.is_quasi else is_irreducible_pairing
     class_ids: dict[str, int] = {}
     seen: set[int] = set()
-    records = []
     for family in enumerate_families(spec, max_n=max_n):
         t = reverse_pairs(base, family)
         if t.bits in seen:
@@ -200,10 +191,8 @@ def census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
         indecomposable = is_indecomposable(t)
         class_id = None
         if indecomposable:
-            key = canonical_form(t, max_n=max_n)
-            class_id = class_ids.setdefault(key, len(class_ids))
-        records.append(CensusRecord(family, t, indecomposable, judge(family), class_id))
-    return records
+            class_id = class_ids.setdefault(canonical_form(t), len(class_ids))
+        yield CensusRecord(family, t, indecomposable, judge(family), class_id)
 
 
 def indecomposable_census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:

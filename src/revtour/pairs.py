@@ -40,6 +40,11 @@ def _normalize(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen))
 
 
+def _same_size(n: int, family: PairFamily) -> None:
+    if family.n != n:
+        raise ValueError(f"family over n={family.n} vertices checked at n={n}")
+
+
 def is_order_transversal(n: int, mask: int) -> bool:
     """True when the vertex mask meets every minimal co-module of the total
     order on 0..n-1, n >= 3: {0}, {n-1} and each {i, i+1} for 1 <= i <= n-3

@@ -55,6 +55,7 @@ from .core import is_indecomposable_rows, reversal_rows
 from .enumeration import EnumSpec, check_guard, enumerate_families
 from .pairs import (
     PairFamily,
+    _same_size,
     anatomy,
     classify,
     is_irreducible_pairing,
@@ -138,11 +139,6 @@ def _warn_outside_hypothesis(n: int) -> None:
 
 def _invariant_broken(n: int, family: PairFamily, what: str) -> RuntimeError:
     return RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {what}")
-
-
-def _same_size(n: int, family: PairFamily) -> None:
-    if family.n != n:
-        raise ValueError(f"family over n={family.n} vertices checked at n={n}")
 
 
 def _theorem1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:

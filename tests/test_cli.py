@@ -140,6 +140,13 @@ class TestCount:
         )
         assert status == 1 and "6..2" in err
 
+    def test_guard_is_the_enumeration_guard(self, capsys, monkeypatch):
+        status, out, err = run(
+            capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", "16..16"]
+        )
+        assert status == 1 and out == ""
+        assert "enumeration of kind 'pairing' allows n <= 14, got 16" in err
+
 
 class TestVerify:
     def test_theorem_pass(self, capsys, monkeypatch):
@@ -192,6 +199,23 @@ class TestVerify:
         assert status == 0
         assert hashlib.sha256(MS.sub("", out).encode()).hexdigest() == digest
 
+    def test_corollaries_max_n_uses_the_full_kind_guard(self, capsys, monkeypatch):
+        # The corollaries enumerate full kinds, guarded at 14, so --max-n 13
+        # needs no --unsafe; the enumeration guard then refuses n = 14.
+        status, out, err = run(
+            capsys, monkeypatch,
+            ["verify", "--theorem", "corollaries", "--n-range", "14..14", "--max-n", "13"],
+        )
+        assert status == 1 and out == ""
+        assert "n <= 13, got 14" in err and "--unsafe" not in err
+
+    def test_partial_kind_max_n_needs_unsafe(self, capsys, monkeypatch):
+        status, out, err = run(
+            capsys, monkeypatch,
+            ["verify", "--theorem", "1", "--n-range", "13..13", "--max-n", "13"],
+        )
+        assert status == 1 and out == "" and "--unsafe" in err
+
     def test_violations_exit_code(self, capsys, monkeypatch):
         # Exercise the exit mapping with a fabricated failing report.
         bad = VerificationReport(1, 5, 5, checked=1)
@@ -218,6 +242,45 @@ class TestCensus:
         assert all(
             rec["class"] is None for rec in lines if not rec["indecomposable"]
         )
+
+    # sha256 of `census --n N --kind K`, pinned from the implementation that
+    # built the whole census as a list before printing it.
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("pairing", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("pairing", 4, "720d02e699cc7e088d45bcae262ca86a711e17f7ec00152831e47ec442f6b380"),
+        ("pairing", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("pairing", 6, "01a79681f85a37c93a1a4e0382d2a466072c4aa2a939aa0e068bb1a07c29b041"),
+        ("pairing", 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("partial-pairing", 3, "9c89b89ed117a04befb4614c959b7aeeadbd10d40633e024edc71c64ae49690a"),
+        ("partial-pairing", 4, "5d4b885e247e8cb5f35b842139547d3557a8d107ecabd0ceb4768d771d023317"),
+        ("partial-pairing", 5, "91a6a3cb7bd9f1f1e12e05fd46b2c839f822e9cb3ee98c48438061c908fc39c3"),
+        ("partial-pairing", 6, "c44d048fa4bb8f0e0c13be929f4166f6ee9c623f2e587f060cd56aeae67b29ce"),
+        ("partial-pairing", 7, "9f89741e8fd70c19c6d639eb79e0ba8b96c761cb14129c8226420c003a457305"),
+        ("quasi", 3, "f25c18c7ff52103a422640888f32248ad89e9bffdb548964f5e5af7f4605ded7"),
+        ("quasi", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("quasi", 5, "0b1877abd3088fea79e80611195fe69fa6b2e835d27466bf297e30ae72dd0faf"),
+        ("quasi", 6, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("quasi", 7, "05334217563a7ee778e0fbf11d26160a2d060d147a69a0f7ce47f2bf8595fd5c"),
+        ("partial-quasi", 3, "90c4d29569a5e321c91e31c3a9feb61cc4b01536c0e52b1bf4f8735b64ac9ae5"),
+        ("partial-quasi", 4, "70b29d2225699aad72c582393111cdb996ed31ce8d737617622da503fd9892e8"),
+        ("partial-quasi", 5, "f1471fc8971b88055c7b321281941bb4eb074110cca78acdb2a2ef84b926f64c"),
+        ("partial-quasi", 6, "05f2138ed7649a09cc2f72c4c5faab2bd2bed1f92b0247dafe7463ee72ae3b8d"),
+        ("partial-quasi", 7, "5ea9d237b56479e4f47a75c1f4939286868d8a6a129c5ec3c6c5036e3a3c7e66"),
+    ])
+    def test_golden_stream(self, capsys, monkeypatch, kind, n, digest):
+        status, out, _ = run(capsys, monkeypatch, ["census", "--n", str(n), "--kind", kind])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_ten_vertices_need_no_max_n(self, capsys, monkeypatch):
+        status, out, err = run(capsys, monkeypatch, ["census", "--n", "10", "--kind", "pairing"])
+        assert status == 0 and err == ""
+        assert len(out.splitlines()) == 945
+
+    def test_past_the_enumeration_guard_prints_nothing(self, capsys, monkeypatch):
+        status, out, err = run(capsys, monkeypatch, ["census", "--n", "15", "--kind", "pairing"])
+        assert status == 1 and out == ""
+        assert "n <= 14, got 15" in err
 
 
 class TestExport:

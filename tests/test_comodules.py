@@ -167,5 +167,10 @@ class TestTransversalImplication:
             indecomposable_implies_transversal(0, PairFamily(0, []))
 
     def test_pair_outside_the_ground_set_rejected(self):
-        with pytest.raises(ValueError, match="out of range 0..4"):
+        with pytest.raises(ValueError, match="family over n=7 vertices checked at n=5"):
             indecomposable_implies_transversal(5, PairFamily(7, [(0, 2), (1, 6)]))
+
+    def test_family_of_another_size_rejected(self):
+        # T(9, F) would be decomposable, so the implication used to hold vacuously.
+        with pytest.raises(ValueError, match="family over n=7 vertices checked at n=9"):
+            indecomposable_implies_transversal(9, PairFamily(7, [(0, 3), (1, 5), (2, 6)]))

@@ -7,12 +7,12 @@ from revtour import (
     GuardError,
     Pairing,
     QuasiPairing,
-    all_modules_bruteforce,
     canonical_form,
     census,
     count_irreducible_pairings,
     enumerate_families,
     indecomposable_census,
+    is_indecomposable,
     is_irreducible_pairing,
     reverse_pairs,
     transitive,
@@ -123,25 +123,15 @@ class TestFilters:
         kept = list(enumerate_families(spec_irr))
         assert [f for f in everything if is_irreducible_pairing(f)] == kept
 
-    def test_reversal_filter_matches_direct_check(self):
-        spec = EnumSpec(5, "partial-quasi", "indecomposable-inv-only")
-        got = {f.pairs for f in enumerate_families(spec)}
-        want = {
-            f.pairs
-            for f in collect(5, "partial-quasi")
-            if not any(
-                2 <= len(m) <= 4
-                for m in all_modules_bruteforce(reverse_pairs(transitive(5), f))
-            )
-        }
-        assert got == want
-
     def test_filters_coincide_on_full_even_ground_sets(self):
-        # For full pairings of even size >= 6 the two filters select the
-        # same families.
+        # For full pairings of even size >= 6 the irreducibility filter
+        # keeps exactly the families whose reversal is indecomposable.
         for m in (6, 8):
             irreducible = collect(m, "pairing", filter="irreducible-only")
-            indecomposable = collect(m, "pairing", filter="indecomposable-inv-only")
+            indecomposable = [
+                f for f in collect(m, "pairing")
+                if is_indecomposable(reverse_pairs(transitive(m), f))
+            ]
             assert irreducible == indecomposable
 
 
@@ -172,6 +162,8 @@ class TestIrreducibleCounts:
             count_irreducible_pairings(5)
         with pytest.raises(GuardError):
             count_irreducible_pairings(16)
+        with pytest.raises(GuardError, match="allows n <= 8, got 10"):
+            count_irreducible_pairings(10, max_m=8)
 
 
 class TestCensus:
@@ -204,7 +196,7 @@ class TestCensus:
         assert len({r.class_id for r in six}) == 6
 
     def test_census_records_all_families(self):
-        records = census(EnumSpec(5, "partial-quasi"))
+        records = list(census(EnumSpec(5, "partial-quasi")))
         assert len(records) == 60
         assert sum(r.indecomposable for r in records) == 11
         for record in records:
@@ -218,4 +210,23 @@ class TestCensus:
         # The check raises RuntimeError, so it also holds under python -O.
         monkeypatch.setattr("revtour.enumeration.reverse_pairs", lambda base, family: base)
         with pytest.raises(RuntimeError, match="n=5, pairs '0-1,0-2,3-4'"):
-            census(EnumSpec(5, "partial-quasi"))
+            list(census(EnumSpec(5, "partial-quasi")))
+
+    def test_census_streams(self):
+        # The first record comes at once, before the other 1,729,199 partial
+        # quasi-pairings of 12 points are enumerated.
+        record = next(iter(census(EnumSpec(12, "partial-quasi"))))
+        assert record.family.pairs == ((0, 1), (0, 2)) and record.class_id is None
+
+    def test_enumeration_guard_bounds_the_census(self):
+        with pytest.raises(GuardError, match="allows n <= 12, got 13"):
+            next(iter(census(EnumSpec(13, "partial-quasi"))))
+        with pytest.raises(GuardError, match="allows n <= 9, got 10"):
+            next(iter(census(EnumSpec(10, "pairing"), max_n=9)))
+
+    def test_class_ids_beyond_nine_vertices(self):
+        # Corollary 1: the 248 irreducible pairings of 10 points are the
+        # indecomposable ones, and each gets a class id.
+        records = indecomposable_census(EnumSpec(10, "pairing"))
+        assert len(records) == 248
+        assert all(r.irreducible and r.class_id is not None for r in records)
