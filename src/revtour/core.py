@@ -137,10 +137,12 @@ def reverse_pairs(t: Tournament, pairs: Iterable) -> Tournament:
 
     Applying the same pair set twice restores the original tournament.
     """
-    mask = 0
-    for x, y in _normalize(t.n, pairs):
-        mask |= 1 << pair_index(t.n, x, y)
-    return Tournament(t.n, t.bits ^ mask)
+    return Tournament(t.n, t.bits ^ _pair_bits(t.n, _normalize(t.n, pairs)))
+
+
+def _pair_bits(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The arc bits of distinct pairs (x, y), x < y."""
+    return sum(1 << pair_index(n, x, y) for x, y in pairs)
 
 
 def dual(t: Tournament) -> Tournament:
@@ -270,19 +272,41 @@ def is_indecomposable_rows(rows: list[int], ground: int) -> bool:
     """True when the subtournament on the vertex mask ``ground`` has only
     trivial modules.
 
-    Every nontrivial module contains some vertex pair together with its
-    module closure, so it suffices that every pair closes to the whole
-    ground.  Pairs go in order of their distance along the ground,
-    consecutive vertices first: the small modules of a reversed order
-    are mostly such pairs, so decomposable inputs stop early, and every
-    pair is still tried before a yes.
+    A screen first: two ground-consecutive vertices that no other one
+    tells apart are a module, as most small modules of a reversed order
+    are.  Then, for v the least ground vertex, the rest of the ground is
+    split by v's out-row and by every out-row, until none splits a part
+    without its vertex.  No module avoiding v is split, and each final
+    part is a module, both as every vertex outside treats it alike; so a
+    part of two vertices or more is a nontrivial module, and otherwise
+    any nontrivial module holds v, some u and the closure of {v, u}.  For
+    w the ground vertex after v, the module {v, w} fails the screen, and
+    a larger one holds a third vertex u; so the closures of {v, u} for
+    the n - 2 vertices u past w must each be the whole ground.
     """
-    bits = [1 << v for v in _mask_vertices(ground)]
-    for gap in range(1, len(bits)):
-        for i in range(len(bits) - gap):
-            if _closure_mask(rows, ground, bits[i] | bits[i + gap]) != ground:
-                return False
-    return True
+    vertices = list(_mask_vertices(ground))
+    if len(vertices) < 3:
+        return True
+    for x, y in zip(vertices, vertices[1:]):
+        if not (rows[x] ^ rows[y]) & ground & ~(1 << x | 1 << y):
+            return False
+    # v's row comes first.  One-vertex parts are dropped; a split re-queues its part.
+    parts, pending = [ground & ground - 1], ground
+    while parts and pending:
+        low = pending & -pending
+        pending ^= low
+        row = rows[low.bit_length() - 1]
+        split = []
+        for part in parts:
+            out = part & row
+            if part & low or not out or out == part:
+                split.append(part)
+            else:
+                pending |= part
+                split += [p for p in (out, part ^ out) if p & p - 1]
+        parts = split
+    v = 1 << vertices[0]
+    return not parts and all(_closure_mask(rows, ground, v | 1 << u) == ground for u in vertices[2:])
 
 
 def is_indecomposable(t: Tournament) -> bool:

@@ -3,7 +3,7 @@ of indecomposable tournaments they produce when reversed inside a total
 order.
 
 Families come out as lexicographically increasing tuples of pairs, each
-family exactly once, so runs are deterministic and shardable by rank.
+family exactly once, so runs are deterministic (no API shards them yet).
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from typing import Iterator
 from .core import (
     GuardError,
     Tournament,
+    _pair_bits,
     canonical_form,
-    is_indecomposable,
-    reverse_pairs,
+    is_indecomposable_rows,
+    reversal_rows,
     transitive,
 )
 from .pairs import (
@@ -80,8 +81,7 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
                 return v
         return n
 
-    def rec(pa: int, pb: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        hubs = sum(1 for c in counts if c == 2)
+    def rec(pa: int, pb: int, hubs: int) -> Iterator[tuple[tuple[int, int], ...]]:
         top = min(min_uncovered(), n - 1) if full_support else n - 1
         for a in range(pa, top + 1):
             if counts[a] >= 2 or (counts[a] == 1 and hubs >= doubled):
@@ -99,12 +99,12 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
                 covered = not full_support or min_uncovered() == n
                 if covered and now_hubs == doubled and len(acc) >= min_pairs:
                     yield tuple(acc)
-                yield from rec(a, b)
+                yield from rec(a, b, now_hubs)
                 acc.pop()
                 counts[a] -= 1
                 counts[b] -= 1
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, 0)
 
 
 def default_limit(kind: str) -> int:
@@ -177,18 +177,19 @@ def census(spec: EnumSpec, max_n: int | None = None) -> Iterator[CensusRecord]:
     tournaments; the scan raises RuntimeError otherwise.
     """
     base = transitive(spec.n)
+    ground = (1 << spec.n) - 1
     judge = is_irreducible_quasi if spec.is_quasi else is_irreducible_pairing
     class_ids: dict[str, int] = {}
     seen: set[int] = set()
     for family in enumerate_families(spec, max_n=max_n):
-        t = reverse_pairs(base, family)
+        t = Tournament(spec.n, base.bits ^ _pair_bits(spec.n, family.pairs))
         if t.bits in seen:
             raise RuntimeError(
                 f"invariant broken at n={spec.n}, pairs {family.serialize()!r}: "
                 "reversing distinct families gave the same tournament"
             )
         seen.add(t.bits)
-        indecomposable = is_indecomposable(t)
+        indecomposable = is_indecomposable_rows(reversal_rows(spec.n, family.pairs), ground)
         class_id = None
         if indecomposable:
             class_id = class_ids.setdefault(canonical_form(t), len(class_ids))

@@ -18,9 +18,9 @@ by (i, j); the empty family serializes to the empty string.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -92,7 +92,7 @@ class PairFamily:
     @cached_property
     def mask(self) -> int:
         """The support as a bit mask: bit v set for each covered vertex v."""
-        return sum(1 << v for v in self.support)
+        return reduce(or_, (1 << x | 1 << y for x, y in self.pairs), 0)
 
     @cached_property
     def transversal(self) -> bool:
@@ -103,8 +103,8 @@ class PairFamily:
     def _anatomy(self) -> "QuasiAnatomy":
         if classify(self) != "quasi-pairing":
             raise ValueError("anatomy needs a quasi-pairing")
-        counts = Counter(v for pair in self.pairs for v in pair)
-        hub = next(v for v, c in counts.items() if c == 2)
+        # Adding up the pairs' bits counts the hub's bit twice, every other bit once.
+        hub = (sum((1 << x) + (1 << y) for x, y in self.pairs) - self.mask).bit_length() - 1
         low, high = sorted(v for pair in self.pairs if hub in pair for v in pair if v != hub)
         triple = tuple(sorted((hub, low, high)))
         blocks = sorted([p for p in self.pairs if hub not in p] + [triple])
@@ -137,7 +137,7 @@ class Pairing(PairFamily):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.support) != 2 * len(self.pairs):
+        if self.mask.bit_count() != 2 * len(self.pairs):
             raise ValueError("pairs of a pairing must be pairwise disjoint")
 
 
@@ -147,7 +147,7 @@ class QuasiPairing(PairFamily):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.pairs) < 2 or len(self.support) != 2 * len(self.pairs) - 1:
+        if len(self.pairs) < 2 or self.mask.bit_count() != 2 * len(self.pairs) - 1:
             raise ValueError(
                 "a quasi-pairing needs at least 2 pairs with exactly one shared vertex"
             )
@@ -176,7 +176,7 @@ def support(family: PairFamily) -> frozenset[int]:
 
 def classify(family: PairFamily) -> str:
     """One of "pairing", "quasi-pairing", or "neither", by support size."""
-    s, p = len(family.support), len(family.pairs)
+    s, p = family.mask.bit_count(), len(family.pairs)
     if s == 2 * p:
         return "pairing"
     if s == 2 * p - 1:
@@ -236,18 +236,11 @@ def mirrored(family: PairFamily) -> PairFamily:
     return type(family)(family.n, mirror_pairs(family.n, family.pairs))
 
 
-def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[int]]) -> bool:
-    """True when no nontrivial interval of the ordered set is a union of blocks.
-
-    Sweeps right from each vertex u: the run from u to v is a union of
-    blocks iff no block met on the way starts below u and the farthest
-    end among them is v.
-    """
-    ground = set(vertices)
-    parts = [tuple(sorted(b)) for b in blocks]
-    flat = [v for b in parts for v in b]
-    if any(not b for b in parts) or len(flat) != len(set(flat)) or set(flat) != ground:
-        raise ValueError("blocks must partition the ground set")
+def _sweep(parts: Iterable[tuple[int, ...]]) -> bool:
+    """Irreducibility of sorted blocks partitioning their ordered union, as
+    a built family's pairs or merged blocks do; no block is checked.  Sweeps
+    right from each u: the run from u to v is a union of blocks iff no block
+    met on the way starts below u and the farthest end among them is v."""
     spans = sorted((v, b[0], b[-1]) for b in parts for v in b)
     for i, (u, _, _) in enumerate(spans):
         reach = u
@@ -261,13 +254,23 @@ def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[
     return True
 
 
+def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[int]]) -> bool:
+    """True when no nontrivial interval of the ordered set is a union of blocks."""
+    ground = set(vertices)
+    parts = [tuple(sorted(b)) for b in blocks]
+    flat = [v for b in parts for v in b]
+    if any(not b for b in parts) or len(flat) != len(set(flat)) or set(flat) != ground:
+        raise ValueError("blocks must partition the ground set")
+    return _sweep(parts)
+
+
 def is_irreducible_pairing(family: PairFamily) -> bool:
     """Irreducibility of a pairing: its pairs (its components) against its ordered support."""
     if classify(family) != "pairing":
         raise ValueError("irreducibility of a pairing needs a pairing")
-    return is_irreducible_partition(family.support, family.pairs)
+    return _sweep(family.pairs)
 
 
 def is_irreducible_quasi(family: PairFamily) -> bool:
     """Irreducibility of a quasi-pairing: its merged partition against the support."""
-    return is_irreducible_partition(family.support, anatomy(family).blocks)
+    return _sweep(anatomy(family).blocks)

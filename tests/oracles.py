@@ -109,6 +109,29 @@ def modules_by_definition(t):
     return found
 
 
+def indecomposable_by_pairs(rows, ground) -> bool:
+    """True when every vertex pair of the ground mask grows to the whole
+    ground by adding, while any is left, a ground vertex whose out-row
+    tells two members apart: the all-pairs test that the fixed-vertex
+    test replaced, trying pairs close along the ground first.  Bit u of
+    rows[v] means arc v -> u."""
+    members = [v for v in range(ground.bit_length()) if ground >> v & 1]
+    for gap in range(1, len(members)):
+        for x, y in zip(members, members[gap:]):
+            closure = 1 << x | 1 << y
+            grown = True
+            while grown:
+                grown = False
+                for w in members:
+                    seen = rows[w] & closure
+                    if seen and seen != closure and not closure >> w & 1:
+                        closure |= 1 << w
+                        grown = True
+            if closure != ground:
+                return False
+    return True
+
+
 def canonical_form_by_scan(t) -> str:
     """Least arc row over all n! relabelings, via the public arc test.
 

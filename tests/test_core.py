@@ -20,9 +20,15 @@ from revtour import (
     subtournament,
     transitive,
 )
-from revtour.core import _mask_vertices, _out_rows, is_indecomposable_rows, reversal_rows
+from revtour.core import (
+    _closure_mask,
+    _mask_vertices,
+    _out_rows,
+    is_indecomposable_rows,
+    reversal_rows,
+)
 
-from oracles import modules_by_definition
+from oracles import indecomposable_by_pairs, modules_by_definition
 
 
 def cycle3() -> Tournament:
@@ -234,6 +240,61 @@ class TestRowPath:
         # 0 -> 1 -> 2 -> 0 is a cycle; 0 beats 1 and 3 in {0, 1, 3}.
         assert is_indecomposable_rows(rows, 0b00111)
         assert not is_indecomposable_rows(rows, 0b01011)
+
+
+class TestFixedVertex:
+    """The screen, the refinement from the least ground vertex v, and the
+    closures of {v, u}, each on a case that only it decides."""
+
+    @staticmethod
+    def nontrivial(t):
+        return [m for m in all_modules_bruteforce(t) if 2 <= len(m) < t.n]
+
+    def test_only_the_refinement_finds_a_module_avoiding_v(self):
+        # {2, 4} avoids 0 and has no consecutive members: no pair passes the
+        # screen's test, and every closure of {0, u} is everything.
+        t = reverse_pairs(transitive(6), [(0, 3), (1, 5), (2, 3)])
+        rows = _out_rows(t)
+        assert self.nontrivial(t) == [frozenset({2, 4})]
+        assert all(_closure_mask(rows, 0b111111, 1 | 1 << u) == 0b111111 for u in range(1, 6))
+        assert not is_indecomposable_rows(rows, 0b111111)
+
+    def test_only_a_closure_finds_a_module_holding_v(self):
+        # {0, 3} holds 0 and has no consecutive members: only the closure of
+        # {0, 3} stops short of everything.
+        t = reverse_pairs(transitive(6), [(0, 2), (1, 3), (2, 5)])
+        rows = _out_rows(t)
+        assert self.nontrivial(t) == [frozenset({0, 3})]
+        assert [_closure_mask(rows, 0b111111, 1 | 1 << u) for u in range(1, 6)] == [
+            0b111111, 0b111111, 0b001001, 0b111111, 0b111111
+        ]
+        assert not is_indecomposable_rows(rows, 0b111111)
+
+    def test_screen_reads_only_the_twin_rows(self):
+        # 0 and 1 are consecutive twins, so the screen stops at their rows.
+        read = set()
+
+        class Rows(list):
+            def __getitem__(self, v):
+                read.add(v)
+                return super().__getitem__(v)
+
+        rows = Rows(reversal_rows(6, [(2, 5), (3, 4)]))
+        assert not is_indecomposable_rows(rows, 0b111111)
+        assert read == {0, 1}
+
+    def test_every_reversal_and_deletion_to_eight_points(self):
+        # The exhaustive ground-mask test above stops at 4 vertices; every
+        # reversed order to 8 points, whole and less one vertex, is checked
+        # here against the all-pairs test.
+        for n in range(3, 9):
+            whole = (1 << n) - 1
+            for kind in ("partial-pairing", "partial-quasi"):
+                for family in enumerate_families(EnumSpec(n, kind)):
+                    rows = reversal_rows(n, family.pairs)
+                    for ground in (whole, *(whole ^ 1 << v for v in range(n))):
+                        want = indecomposable_by_pairs(rows, ground)
+                        assert is_indecomposable_rows(rows, ground) == want, (family, ground)
 
 
 class TestAllModulesBruteforce:

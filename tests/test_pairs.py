@@ -3,12 +3,14 @@
 import pytest
 
 from revtour import (
+    EnumSpec,
     PairFamily,
     Pairing,
     QuasiPairing,
     anatomy,
     classify,
     components,
+    enumerate_families,
     is_irreducible_pairing,
     is_irreducible_partition,
     is_irreducible_quasi,
@@ -213,6 +215,21 @@ class TestIrreducibleQuasi:
             fam = QuasiPairing(7, pairs)
             want = naive_is_irreducible(support(fam), anatomy(fam).blocks)
             assert is_irreducible_quasi(fam) == want
+
+
+def test_family_sweep_is_the_partition_test_to_nine_points():
+    # The family entry points skip the partition check of
+    # is_irreducible_partition; both agree with the naive oracle.  Every
+    # family over fewer points has the pairs, and so the verdict, of one
+    # over 9 points.
+    for kind, judge in (
+        ("partial-pairing", is_irreducible_pairing),
+        ("partial-quasi", is_irreducible_quasi),
+    ):
+        for fam in enumerate_families(EnumSpec(9, kind)):
+            blocks = anatomy(fam).blocks if kind == "partial-quasi" else fam.pairs
+            want = naive_is_irreducible(fam.support, blocks)
+            assert judge(fam) == is_irreducible_partition(fam.support, blocks) == want, fam
 
 
 class TestMirrored:

@@ -89,6 +89,38 @@ def test_ground_mask_verdict_is_the_module_scan(case):
     assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
 
 
+@st.composite
+def planted_modules(draw):
+    """A tournament on 6-10 vertices in which every vertex outside a drawn
+    set treats the set alike, so that the set is a module, and a ground
+    set, which holds the module half the time."""
+    n = draw(st.integers(min_value=6, max_value=10))
+    arcs = draw(st.lists(st.booleans(), min_size=pair_count(n), max_size=pair_count(n)))
+    module = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2))
+    beats = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bits = k = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (x in module) != (y in module):
+                outside = y if x in module else x
+                arcs[k] = beats[outside] == (outside == x)
+            bits |= arcs[k] << k
+            k += 1
+    ground = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=3))
+    if draw(st.booleans()):
+        ground |= module
+    return Tournament(n, bits), sum(1 << v for v in ground)
+
+
+@settings(max_examples=120)
+@given(planted_modules())
+def test_fixed_vertex_test_is_the_module_scan(case):
+    t, ground = case
+    sub, _ = subtournament(t, (v for v in range(t.n) if ground >> v & 1))
+    nontrivial = [m for m in all_modules_bruteforce(sub) if 2 <= len(m) <= sub.n - 1]
+    assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
+
+
 @given(tournaments_with_subset())
 def test_dual_preserves_modules(case):
     t, members = case
