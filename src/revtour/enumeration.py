@@ -69,42 +69,40 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
     for pairings, 1 for quasi-pairings); ``full_support`` restricts the
     output to families covering all of 0..n-1.  Each family is emitted at
     the node that completes it, before any extension, which makes the
-    whole stream lexicographic without post-sorting.
+    whole stream lexicographic without post-sorting.  Ends are the set bits
+    of the free mask and, while a hub is allowed, of the mask covered
+    ``once`` (for a second end, only with a free first end), lowest first.
     """
-    counts = [0] * n
+    full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
     min_pairs = 2 if doubled else 1
 
-    def min_uncovered() -> int:
-        for v in range(n):
-            if counts[v] == 0:
-                return v
-        return n
-
-    def rec(pa: int, pb: int, hubs: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        top = min(min_uncovered(), n - 1) if full_support else n - 1
-        for a in range(pa, top + 1):
-            if counts[a] >= 2 or (counts[a] == 1 and hubs >= doubled):
-                continue
-            b_start = pb + 1 if a == pa else a + 1
-            for b in range(max(b_start, a + 1), n):
-                if counts[b] >= 2:
-                    continue
-                if counts[b] == 1 and (counts[a] == 1 or hubs >= doubled):
-                    continue
-                counts[a] += 1
-                counts[b] += 1
+    def rec(pa: int, pb: int, once: int, twice: int, hubs: int) -> Iterator[tuple]:
+        free = full & ~(once | twice)
+        top = (free & -free).bit_length() - 1 if full_support and free else n - 1
+        firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            a = low.bit_length() - 1
+            seconds = free | once if hubs < doubled and free & low else free
+            seconds &= -(2 << (pb if a == pa else a))
+            while seconds:
+                high = seconds & -seconds
+                seconds ^= high
+                b = high.bit_length() - 1
+                pair = low | high
+                # A free end becomes covered once, an end covered once becomes a hub.
+                now_once, now_twice = once ^ pair, twice | once & pair
+                now_hubs = hubs + (once & pair != 0)
                 acc.append((a, b))
-                now_hubs = hubs + (counts[a] == 2) + (counts[b] == 2)
-                covered = not full_support or min_uncovered() == n
+                covered = not full_support or now_once | now_twice == full
                 if covered and now_hubs == doubled and len(acc) >= min_pairs:
                     yield tuple(acc)
-                yield from rec(a, b, now_hubs)
+                yield from rec(a, b, now_once, now_twice, now_hubs)
                 acc.pop()
-                counts[a] -= 1
-                counts[b] -= 1
 
-    yield from rec(0, 0, 0)
+    yield from rec(0, 0, 0, 0, 0)
 
 
 def default_limit(kind: str) -> int:

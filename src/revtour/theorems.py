@@ -43,7 +43,6 @@ family's mirror image is checked too and filed beside it.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import warnings
@@ -361,6 +360,8 @@ def verify_range(
     for _, spec in plan:
         check_guard(spec, max_n)
     tasks = _orbit_tasks(plan, max_n)
+    if jobs > 1:
+        import multiprocessing  # here, so that a serial run never loads it
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
         mapped = pool.imap(_check_family, tasks, POOL_CHUNK) if pool else map(_check_family, tasks)
         for checked, filed in mapped:

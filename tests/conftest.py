@@ -33,6 +33,6 @@ def fake_pool(monkeypatch):
                 sizes.tasks += 1
                 yield fn(task)
 
-    monkeypatch.setattr("revtour.theorems.multiprocessing.Pool", SerialPool)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
     monkeypatch.setattr("revtour.theorems.os.cpu_count", lambda: 4)
     return sizes

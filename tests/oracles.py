@@ -196,3 +196,60 @@ def reduced_c4_by_sets(n, pairs):
     return not any(
         (v, v + 1) in pairset and hub not in {v, v + 1} - {0, n - 1} for v in range(n)
     )
+
+
+def pair_walk_by_counts(n, doubled, full_support):
+    """``revtour.enumeration._pair_walk`` as it stood before the mask walk:
+    a per-vertex cover count, rescanned for the least uncovered vertex."""
+    counts = [0] * n
+    acc = []
+    min_pairs = 2 if doubled else 1
+
+    def min_uncovered():
+        for v in range(n):
+            if counts[v] == 0:
+                return v
+        return n
+
+    def rec(pa, pb, hubs):
+        top = min(min_uncovered(), n - 1) if full_support else n - 1
+        for a in range(pa, top + 1):
+            if counts[a] >= 2 or (counts[a] == 1 and hubs >= doubled):
+                continue
+            b_start = pb + 1 if a == pa else a + 1
+            for b in range(max(b_start, a + 1), n):
+                if counts[b] >= 2:
+                    continue
+                if counts[b] == 1 and (counts[a] == 1 or hubs >= doubled):
+                    continue
+                counts[a] += 1
+                counts[b] += 1
+                acc.append((a, b))
+                now_hubs = hubs + (counts[a] == 2) + (counts[b] == 2)
+                covered = not full_support or min_uncovered() == n
+                if covered and now_hubs == doubled and len(acc) >= min_pairs:
+                    yield tuple(acc)
+                yield from rec(a, b, now_hubs)
+                acc.pop()
+                counts[a] -= 1
+                counts[b] -= 1
+
+    yield from rec(0, 0, 0)
+
+
+def sweep_by_spans(parts):
+    """``revtour.pairs._sweep`` as it stood before the prefix-sum pass:
+    from each vertex u, sweep right; the run from u to v is a union of
+    blocks iff no block met on the way starts below u and the farthest
+    end among them is v."""
+    spans = sorted((v, b[0], b[-1]) for b in parts for v in b)
+    for i, (u, _, _) in enumerate(spans):
+        reach = u
+        # From the least vertex the sweep stops short of the whole set, the trivial union.
+        for v, first, last in spans[i : len(spans) - (i == 0)]:
+            if first < u:
+                break
+            reach = max(reach, last)
+            if v > u and reach == v:
+                return False
+    return True

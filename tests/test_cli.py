@@ -3,10 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revtour
 from revtour import TheoremInstance, PairFamily, Tournament, VerificationReport
 from revtour.cli import main
 
@@ -182,6 +187,16 @@ class TestVerify:
         # 162 of the 315 quasi-pairings at n = 7.
         assert fake_pool == [2] and fake_pool.tasks == 16 + 11 + 162
         assert MS.sub("", pooled) == MS.sub("", serial)
+
+    def test_import_leaves_out_multiprocessing(self):
+        # Only a pooled run loads it; every CLI call pays for what the import loads.
+        src = str(Path(revtour.__file__).parents[1])
+        code = "import sys, revtour.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-c", code]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     # sha256 of `verify --theorem T --n-range 3..7` with the "ms" member
     # removed, pinned from the implementation that ran theorems and

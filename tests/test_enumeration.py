@@ -17,12 +17,14 @@ from revtour import (
     reverse_pairs,
     transitive,
 )
+from revtour.enumeration import KINDS, _pair_walk
 
 from oracles import (
     all_partial_pairings,
     all_quasi_pairings,
     involution_count,
     naive_is_irreducible,
+    pair_walk_by_counts,
     partial_quasi_count,
     quasi_pairing_count,
 )
@@ -101,6 +103,13 @@ class TestStreamShape:
         got = {f.pairs for f in collect(5, "quasi")}
         want = set(all_quasi_pairings(range(5)))
         assert got == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mask_walk_is_the_count_walk(self, kind):
+        for n in range(11):
+            spec = EnumSpec(n, kind)
+            args = (n, int(spec.is_quasi), not spec.is_partial)
+            assert list(_pair_walk(*args)) == list(pair_walk_by_counts(*args)), n
 
     def test_families_are_typed(self):
         assert all(isinstance(f, Pairing) for f in collect(4, "partial-pairing"))

@@ -158,6 +158,26 @@ class TestIrreduciblePartition:
 
     def test_single_block_vacuous(self):
         assert is_irreducible_partition({0, 1, 2, 3, 4}, [(0, 1, 2, 3, 4)])
+        assert is_irreducible_partition({5}, [(5,)])
+
+    def test_empty_ground_set(self):
+        assert is_irreducible_partition([], [])
+
+    def test_one_vertex_blocks(self):
+        # Alone, a one-vertex block is a trivial interval; beside a union
+        # of blocks it makes a longer one.
+        assert not is_irreducible_partition([0, 4, 6], [(0,), (4, 6)])
+        assert not is_irreducible_partition([0, 4, 6], [(0, 4), (6,)])
+        assert is_irreducible_partition([0, 2, 4], [(0, 4), (2,)])
+        assert is_irreducible_partition([0, 4], [(0,), (4,)])
+        assert not is_irreducible_partition([0, 4, 6], [(0,), (4,), (6,)])
+        assert not is_irreducible_partition(range(4), [(0, 3), (1,), (2,)])
+        assert is_irreducible_partition(range(5), [(0, 2, 4), (1,), (3,)])
+
+    def test_five_vertex_block(self):
+        # Block weights in base 4 would sum the run {4, 5} to 0: +4 for 4,
+        # the pair's first vertex, and -4 for 5, the big block's last.
+        assert is_irreducible_partition(range(7), [(0, 1, 2, 3, 5), (4, 6)])
 
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from revtour import (
     enumerate_families,
     is_indecomposable,
     is_irreducible_pairing,
+    is_irreducible_partition,
     is_irreducible_quasi,
     is_module,
     mates,
@@ -24,6 +25,8 @@ from revtour import (
     subtournament,
 )
 from revtour.core import _out_rows, is_indecomposable_rows, pair_count
+
+from oracles import sweep_by_spans
 
 
 @st.composite
@@ -158,6 +161,26 @@ def test_pairing_serialization_round_trip(family):
     assert PairFamily.parse(family.n, family.serialize()) == PairFamily(
         family.n, family.pairs
     )
+
+
+@st.composite
+def partitions(draw, max_vertices=16, max_block=6):
+    """A set of up to 16 integers, with gaps, cut into blocks of 1-6."""
+    order = draw(st.lists(st.integers(-40, 40), unique=True, max_size=max_vertices))
+    blocks, start = [], 0
+    while start < len(order):
+        size = draw(st.integers(1, min(max_block, len(order) - start)))
+        blocks.append(order[start : start + size])
+        start += size
+    return order, blocks
+
+
+@settings(max_examples=250)
+@given(partitions())
+def test_prefix_sum_test_is_the_span_sweep(case):
+    ground, blocks = case
+    want = sweep_by_spans([tuple(sorted(b)) for b in blocks])
+    assert is_irreducible_partition(ground, blocks) == want
 
 
 @given(partial_pairings())
