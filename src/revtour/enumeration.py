@@ -9,6 +9,7 @@ family exactly once, so runs are deterministic (no API shards them yet).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .core import (
@@ -62,7 +63,7 @@ class EnumSpec:
         return self.kind in ("quasi", "partial-quasi")
 
 
-def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple, int, int]]:
     """DFS over families as lexicographically increasing tuples of pairs.
 
     ``doubled`` is the exact number of vertices allowed in two pairs (0
@@ -72,6 +73,8 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
     whole stream lexicographic without post-sorting.  Ends are the set bits
     of the free mask and, while a hub is allowed, of the mask covered
     ``once`` (for a second end, only with a free first end), lowest first.
+    Each family comes as ``(pairs, support, twice)``: its sorted pairs and
+    the bit masks of its support and of its hub (0 for a pairing).
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
@@ -98,7 +101,7 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
                 acc.append((a, b))
                 covered = not full_support or now_once | now_twice == full
                 if covered and now_hubs == doubled and len(acc) >= min_pairs:
-                    yield tuple(acc)
+                    yield tuple(acc), now_once | now_twice, now_twice
                 yield from rec(a, b, now_once, now_twice, now_hubs)
                 acc.pop()
 
@@ -117,31 +120,21 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
 
-def _passes(spec: EnumSpec, family: PairFamily) -> bool:
-    if spec.filter == "all":
-        return True
-    if spec.is_quasi:
-        return is_irreducible_quasi(family)
-    return is_irreducible_pairing(family)
-
-
 def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:
     """All families matching the spec, in lexicographic order of pair tuples."""
     check_guard(spec, max_n)
     if spec.is_quasi:
         walk = _pair_walk(spec.n, 1, not spec.is_partial)
-        build = QuasiPairing
+        build, judge = QuasiPairing._from_walk, is_irreducible_quasi
     else:
         walk = _pair_walk(spec.n, 0, not spec.is_partial)
-        build = Pairing
-        empty_valid = spec.kind == "partial-pairing" or spec.n == 0
-        if spec.include_empty and empty_valid:
-            empty = Pairing(spec.n, ())
-            if _passes(spec, empty):
-                yield empty
-    for pairs in walk:
-        family = build(spec.n, pairs)
-        if _passes(spec, family):
+        build, judge = Pairing._from_walk, is_irreducible_pairing
+        if spec.include_empty and (spec.kind == "partial-pairing" or spec.n == 0):
+            walk = chain([((), 0, 0)], walk)
+    keep_all = spec.filter == "all"
+    for pairs, mask, twice in walk:
+        family = build(spec.n, pairs, mask, twice.bit_length() - 1)
+        if keep_all or judge(family):
             yield family
 
 

@@ -70,6 +70,21 @@ class PairFamily:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", _normalize(self.n, self.pairs))
+        if error := self._size_error():
+            raise ValueError(error)
+
+    @classmethod
+    def _from_walk(cls, n: int, pairs: tuple, mask: int, hub: int) -> "PairFamily":
+        """Store the walk's sorted, distinct, in-range pairs, support mask and
+        hub (-1 for none) as given; only the kind's size rule is checked."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "__dict__", {"n": n, "pairs": pairs, "mask": mask, "_hub": hub})
+        if error := family._size_error():
+            raise RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {error}")
+        return family
+
+    def _size_error(self) -> str | None:
+        """Why the support's size breaks the kind's rule, or None."""
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairFamily):
@@ -101,11 +116,15 @@ class PairFamily:
         return is_order_transversal(self.n, self.mask)
 
     @cached_property
+    def _hub(self) -> int:
+        """The vertex in two pairs (-1 for none): adding up the pairs' bits counts its bit twice."""
+        return (sum((1 << x) + (1 << y) for x, y in self.pairs) - self.mask).bit_length() - 1
+
+    @cached_property
     def _anatomy(self) -> "QuasiAnatomy":
         if classify(self) != "quasi-pairing":
             raise ValueError("anatomy needs a quasi-pairing")
-        # Adding up the pairs' bits counts the hub's bit twice, every other bit once.
-        hub = (sum((1 << x) + (1 << y) for x, y in self.pairs) - self.mask).bit_length() - 1
+        hub = self._hub
         low, high = sorted(v for pair in self.pairs if hub in pair for v in pair if v != hub)
         triple = tuple(sorted((hub, low, high)))
         blocks = sorted([p for p in self.pairs if hub not in p] + [triple])
@@ -136,22 +155,20 @@ class PairFamily:
 class Pairing(PairFamily):
     """A pair family whose pairs are pairwise disjoint."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _size_error(self) -> str | None:
         if self.mask.bit_count() != 2 * len(self.pairs):
-            raise ValueError("pairs of a pairing must be pairwise disjoint")
+            return "pairs of a pairing must be pairwise disjoint"
+        return None
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiPairing(PairFamily):
     """A pair family covering an odd support with a single doubled vertex."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _size_error(self) -> str | None:
         if len(self.pairs) < 2 or self.mask.bit_count() != 2 * len(self.pairs) - 1:
-            raise ValueError(
-                "a quasi-pairing needs at least 2 pairs with exactly one shared vertex"
-            )
+            return "a quasi-pairing needs at least 2 pairs with exactly one shared vertex"
+        return None
 
 
 @dataclass(frozen=True)

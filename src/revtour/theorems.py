@@ -253,7 +253,8 @@ class Check:
     row is checked at, and ``sides`` returns (lhs, rhs, details) from the
     size, the family and the ``Reversal`` that all rows checking the family
     share.  At ``one_way_at`` only rhs => lhs is claimed: an instance with
-    lhs and not rhs there is recorded, not counted as a violation.
+    lhs and not rhs there is recorded, not counted as a violation.  Runs
+    start at ``least_n`` or above: theorem 1's transversal test needs 3.
     """
 
     run: int | str
@@ -262,11 +263,12 @@ class Check:
     applies: Callable[[int], bool]
     sides: Callable[[int, PairFamily, Reversal], Sides]
     one_way_at: int | None = None
+    least_n: int = 0
 
 
 # A "corollaries" run files its rows in table order at each n.
 CHECKS = (
-    Check(1, "theorem1", "partial-pairing", lambda n: True, _theorem1_sides),
+    Check(1, "theorem1", "partial-pairing", lambda n: True, _theorem1_sides, least_n=3),
     Check(2, "theorem2", "partial-quasi", lambda n: True, _theorem2_sides, one_way_at=5),
     Check(3, "theorem3", "partial-quasi", lambda n: True, _theorem3_sides),
     Check("corollaries", "corollary1", "pairing",
@@ -346,6 +348,8 @@ def verify_range(
         raise ValueError(f"unknown theorem id {theorem!r}, want 1, 2, 3, or 'corollaries'")
     if n_min > n_max:
         raise ValueError(f"empty range {n_min}..{n_max}")
+    if n_min < (least := max(check.least_n for check in checks)):
+        raise ValueError(f"theorem {theorem} is checked from n = {least}, got n = {n_min}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)

@@ -177,6 +177,23 @@ class TestVerify:
         assert status == 1 and out == ""
         assert err.startswith("error:") and "jobs" in err
 
+    @pytest.mark.parametrize("n_range, n_min", [("2..2", 2), ("2..6", 2), ("0..1", 0)])
+    def test_theorem1_refuses_n_below_three(self, capsys, monkeypatch, n_range, n_min):
+        # Its transversal test needs n >= 3, and n = 2 has the pairing {0-1}.
+        status, out, err = run(
+            capsys, monkeypatch, ["verify", "--theorem", "1", "--n-range", n_range]
+        )
+        assert status == 1 and out == ""
+        assert err == f"error: theorem 1 is checked from n = 3, got n = {n_min}\n"
+
+    @pytest.mark.parametrize("theorem, checked", [("2", 3), ("3", 3), ("corollaries", 0)])
+    def test_other_runs_start_anywhere(self, capsys, monkeypatch, theorem, checked):
+        # Below n = 3 they enumerate nothing; n = 3 has 3 partial quasi-pairings.
+        status, out, _ = run(
+            capsys, monkeypatch, ["verify", "--theorem", theorem, "--n-range", "0..3"]
+        )
+        assert status == 0 and json.loads(out)["checked"] == checked
+
     def test_corollaries_jobs_go_through_the_pool(self, capsys, monkeypatch, fake_pool):
         argv = ["verify", "--theorem", "corollaries", "--n-range", "5..7"]
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])

@@ -1,13 +1,20 @@
 """Generators, counters, and the indecomposable census."""
 
+import pickle
+from functools import reduce
+from operator import or_
+
 import pytest
 
+import revtour.pairs
 from revtour import (
     EnumSpec,
     GuardError,
     Pairing,
     QuasiPairing,
+    anatomy,
     canonical_form,
+    classify,
     census,
     count_irreducible_pairings,
     enumerate_families,
@@ -28,6 +35,7 @@ from oracles import (
     partial_quasi_count,
     quasi_pairing_count,
 )
+from test_theorems import optimized_stdout
 
 
 def collect(n, kind, **kwargs):
@@ -109,7 +117,12 @@ class TestStreamShape:
         for n in range(11):
             spec = EnumSpec(n, kind)
             args = (n, int(spec.is_quasi), not spec.is_partial)
-            assert list(_pair_walk(*args)) == list(pair_walk_by_counts(*args)), n
+            walk = list(_pair_walk(*args))
+            assert [pairs for pairs, _, _ in walk] == list(pair_walk_by_counts(*args)), n
+            # Each family comes with its support and the vertices in two pairs.
+            for pairs, mask, twice in walk:
+                assert mask == reduce(or_, (1 << x | 1 << y for x, y in pairs))
+                assert twice == sum(1 << v for v in range(n) if sum(v in p for p in pairs) == 2)
 
     def test_families_are_typed(self):
         assert all(isinstance(f, Pairing) for f in collect(4, "partial-pairing"))
@@ -122,6 +135,63 @@ class TestStreamShape:
             collect(15, "pairing")
         with pytest.raises(GuardError):
             list(enumerate_families(EnumSpec(8, "partial-pairing"), max_n=7))
+
+
+class TestWalkBuiltFamilies:
+    """Families from the walk are built unvalidated, so they are checked
+    against the families that the validating constructors build."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_to_validated_families(self, kind):
+        for n in range(11):
+            for family in collect(n, kind):
+                built = type(family)(family.n, family.pairs)
+                assert family == built
+                assert (family.pairs, family.mask) == (built.pairs, built.mask)
+                assert classify(family) == classify(built)
+                if n >= 3:
+                    assert family.transversal == built.transversal
+                if "quasi" in kind:
+                    assert anatomy(family) == anatomy(built)
+
+    def test_walk_never_normalizes(self, monkeypatch):
+        calls = []
+        real = revtour.pairs._normalize
+        monkeypatch.setattr(
+            "revtour.pairs._normalize", lambda *args: calls.append(args) or real(*args)
+        )
+        built = sum(len(collect(n, kind, include_empty=True)) for n in (7, 8) for kind in KINDS)
+        assert built > 0 and calls == []
+        # A family built by hand still goes through it.
+        Pairing(4, [(1, 0)])
+        assert calls == [(4, [(1, 0)])]
+
+    def test_broken_size_rule_is_an_invariant(self):
+        with pytest.raises(RuntimeError, match="n=4, pairs '0-1,1-2': pairs of a pairing"):
+            Pairing._from_walk(4, ((0, 1), (1, 2)), 0b111, 1)
+        with pytest.raises(RuntimeError, match="n=4, pairs '0-1,2-3': a quasi-pairing"):
+            QuasiPairing._from_walk(4, ((0, 1), (2, 3)), 0b1111, -1)
+
+    def test_broken_size_rule_raises_under_optimize(self):
+        out = optimized_stdout("""
+            import sys
+            from revtour import Pairing
+            try:
+                Pairing._from_walk(4, ((0, 1), (1, 2)), 0b111, 1)
+            except RuntimeError as exc:
+                print(sys.flags.optimize, exc)
+        """)
+        assert out.startswith("1 invariant broken at n=4, pairs '0-1,1-2'")
+
+    def test_pickle_round_trip(self):
+        # A pooled verify ships walk-built families to its workers this way.
+        for family in collect(6, "pairing") + collect(7, "partial-quasi"):
+            copy = pickle.loads(pickle.dumps(family))
+            assert type(copy) is type(family)
+            assert vars(copy) == vars(family)
+            assert {"mask", "_hub"} <= vars(copy).keys()
+            if isinstance(family, QuasiPairing):
+                assert anatomy(copy) == anatomy(family)
 
 
 class TestFilters:
@@ -152,6 +222,14 @@ class TestIrreducibleCounts:
         assert count_irreducible_pairings(4) == 1
         assert count_irreducible_pairings(6) == 4
         assert count_irreducible_pairings(8) == 27
+        # Irreducible pairings of 2k points are the connected chord diagrams,
+        # OEIS A000699: a(1) = 1, a(k) = (k - 1) * sum(a(i) * a(k - i), 0 < i < k).
+        a = [0, 1]
+        for k in range(2, 7):
+            a.append((k - 1) * sum(a[i] * a[k - i] for i in range(1, k)))
+        assert a[5:] == [248, 2830]
+        assert count_irreducible_pairings(10) == a[5]
+        assert count_irreducible_pairings(12) == a[6]
 
     def test_against_naive_oracle(self):
         from oracles import all_matchings
