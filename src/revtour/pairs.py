@@ -18,6 +18,7 @@ by (i, j); the empty family serializes to the empty string.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -55,6 +56,15 @@ def is_order_transversal(n: int, mask: int) -> bool:
         raise ValueError(f"total-order co-module formula needs n >= 3, got {n}")
     missing = ~mask & (1 << n) - 1
     return not missing & (1 | 1 << n - 1) and not missing & missing >> 1
+
+
+class _cached(cached_property):
+    """A ``functools.cached_property`` whose first read takes no lock, as from Python 3.12."""
+
+    def __get__(self, instance: object, owner: type | None = None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,34 +110,42 @@ class PairFamily:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @cached_property
+    @property
     def support(self) -> frozenset[int]:
-        """Union of all pairs."""
-        return frozenset(v for pair in self.pairs for v in pair)
+        """Union of all pairs, read off the support mask."""
+        return frozenset(v for v in range(self.n) if self.mask >> v & 1)
 
-    @cached_property
+    @_cached
     def mask(self) -> int:
         """The support as a bit mask: bit v set for each covered vertex v."""
         return reduce(or_, (1 << x | 1 << y for x, y in self.pairs), 0)
 
-    @cached_property
+    @_cached
     def transversal(self) -> bool:
         """True when the support meets every minimal co-module of the total order."""
         return is_order_transversal(self.n, self.mask)
 
-    @cached_property
+    @_cached
     def _hub(self) -> int:
         """The vertex in two pairs (-1 for none): adding up the pairs' bits counts its bit twice."""
         return (sum((1 << x) + (1 << y) for x, y in self.pairs) - self.mask).bit_length() - 1
 
-    @cached_property
+    @_cached
     def _anatomy(self) -> "QuasiAnatomy":
         if classify(self) != "quasi-pairing":
             raise ValueError("anatomy needs a quasi-pairing")
         hub = self._hub
-        low, high = sorted(v for pair in self.pairs if hub in pair for v in pair if v != hub)
-        triple = tuple(sorted((hub, low, high)))
-        blocks = sorted([p for p in self.pairs if hub not in p] + [triple])
+        # One pass: the sorted pairs through the hub give its partners in order.
+        blocks, partners = [], []
+        for pair in self.pairs:
+            if hub in pair:
+                partners.append(pair[0] + pair[1] - hub)
+            else:
+                blocks.append(pair)
+        low, high = partners
+        triple = (hub, low, high) if hub < low else (low, hub, high) if hub < high else (
+            low, high, hub)
+        insort(blocks, triple)
         return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
 
     def serialize(self) -> str:

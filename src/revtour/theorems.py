@@ -165,15 +165,13 @@ def _theorem2_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(indecomposable, irreducible-transversal) for a partial pairing."""
     _warn_outside_hypothesis(n)
-    inst = check_instance("theorem1", n, family)
-    return inst.lhs, inst.rhs
+    return _sides(("theorem1",), n, family)[0][:2]
 
 
 def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
     _warn_outside_hypothesis(n)
-    inst = check_instance("theorem2", n, family)
-    return inst.lhs, inst.rhs
+    return _sides(("theorem2",), n, family)[0][:2]
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
@@ -188,9 +186,13 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
     return _theorem3_conditions(n, family)
 
 
-def _starts(family: PairFamily, gap: int) -> int:
-    """Bit x set for each pair {x, x + gap} of the family."""
-    return sum(1 << x for x, y in family.pairs if y - x == gap)
+def _short_starts(family: PairFamily) -> tuple[int, int]:
+    """Bit masks of x over the family's pairs {x, x + 1} and over its pairs {x, x + 2}."""
+    adjacent = spans2 = 0
+    for x, y in family.pairs:
+        adjacent |= (y - x == 1) << x
+        spans2 |= (y - x == 2) << x
+    return adjacent, spans2
 
 
 def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
@@ -198,11 +200,10 @@ def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, 
     hub = shape.hub
     c1 = family.transversal and is_irreducible_quasi(family)
     c2 = shape.high >= shape.low + 2
+    adjacent, spans2 = _short_starts(family)
     # {x, x+2} and {x+1, x+3} together need the hub at x or x+3.
-    spans2 = _starts(family, 2)
     c3 = not spans2 & spans2 >> 1 & ~(1 << hub | 1 << hub >> 3)
     # Each {x, x+1} must hold the hub, whose two neighbours lie in the support.
-    adjacent = _starts(family, 1)
     c4 = not adjacent or (
         not adjacent & ~(1 << hub | 1 << hub >> 1) and family.mask << 1 >> hub & 5 == 5
     )
@@ -232,7 +233,7 @@ def _corollary1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
 def _reduced_c4(n: int, family: PairFamily) -> bool:
     """Corollary 3's (C4): each {x, x+1} holds the hub, which is no end of 0..n-1."""
     hub = anatomy(family).hub
-    adjacent = _starts(family, 1)
+    adjacent = _short_starts(family)[0]
     return not adjacent or (not adjacent & ~(1 << hub | 1 << hub >> 1) and 0 < hub < n - 1)
 
 
@@ -283,25 +284,22 @@ _BY_LABEL = {check.label: check for check in CHECKS}
 
 def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     """Evaluate the table row ``label`` on one family over 0..n-1."""
-    return _instances((label,), n, family)[0]
+    sides = _sides((label,), n, family)[0]
+    return TheoremInstance(n, family, *sides, n >= CHARACTERIZATION_MIN_N, label)
 
 
-def _instances(labels: tuple[str, ...], n: int, family: PairFamily) -> list[TheoremInstance]:
-    """The named table rows on one family, which share T(n, F) and its verdict."""
+def _sides(labels: tuple[str, ...], n: int, family: PairFamily) -> list[Sides]:
+    """The named table rows' sides on one family, which share T(n, F) and its verdict."""
     _same_size(n, family)
     rows = reversal_rows(n, family.pairs)
     reversal = rows, is_indecomposable_rows(rows, (1 << n) - 1)
-    instances = []
+    out = []
     for label in labels:
         check = _BY_LABEL[label]
-        lhs, rhs, details = check.sides(n, family, reversal)
+        out.append(check.sides(n, family, reversal))
         if not check.kind.startswith("partial") and not family.transversal:
             raise _invariant_broken(n, family, "full support misses a minimal co-module")
-        instances.append(TheoremInstance(
-            n, family, lhs, rhs, details,
-            in_hypothesis=n >= CHARACTERIZATION_MIN_N, label=label,
-        ))
-    return instances
+    return out
 
 
 def _orbit_tasks(
@@ -310,21 +308,27 @@ def _orbit_tasks(
     """One task per mirror orbit, for the member the walk meets first."""
     for labels, spec in plan:
         for family in enumerate_families(spec, max_n):
-            image = mirror_pairs(spec.n, family.pairs)
-            if family.pairs <= image:
+            # The image's least pair starts at n - 1 - (the largest support vertex).
+            lead = spec.n - family.mask.bit_length() - family.pairs[0][0]
+            if lead > 0:
+                yield labels, spec.n, family, True
+            elif lead == 0 and family.pairs <= (image := mirror_pairs(spec.n, family.pairs)):
                 yield labels, spec.n, family, family.pairs != image
 
 
 def _check_family(task: Task) -> tuple[int, list[TheoremInstance]]:
-    """The number of rows checked on one mirror orbit and the instances to file."""
+    """Rows checked on one mirror orbit, and instances made for the rows filed only."""
     labels, n, family, paired = task
-    filed = [i for i in _instances(labels, n, family) if i.in_hypothesis and i.lhs != i.rhs]
+    rows = zip(labels, _sides(labels, n, family))
+    filed = [(label, s) for label, s in rows if s[0] != s[1] and n >= CHARACTERIZATION_MIN_N]
+    instances = [TheoremInstance(n, family, *s, label=label) for label, s in filed]
     if paired and filed:
-        twins = _instances(tuple(i.label for i in filed), n, mirrored(family))
-        if [(t.lhs, t.rhs) for t in twins] != [(i.lhs, i.rhs) for i in filed]:
+        kept = tuple(label for label, _ in filed)
+        twins = _sides(kept, n, image := mirrored(family))
+        if [s[:2] for s in twins] != [s[:2] for _, s in filed]:
             raise _invariant_broken(n, family, "its mirror image has other sides")
-        filed += twins
-    return len(labels) * (1 + paired), filed
+        instances += [TheoremInstance(n, image, *s, label=label) for label, s in zip(kept, twins)]
+    return len(labels) * (1 + paired), instances
 
 
 def verify_range(

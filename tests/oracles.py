@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from revtour import enumerate_families
+from revtour.pairs import mirror_pairs
 
 
 def involution_count(n: int) -> int:
@@ -156,6 +157,17 @@ def unreduced_tasks(plan, max_n):
             yield labels, spec.n, family, False
 
 
+def orbit_tasks_by_mirror(plan, max_n):
+    """One task per mirror orbit, keeping a family whose pair tuple is not
+    larger than its mirrored tuple: ``revtour.theorems._orbit_tasks``
+    before its least-pair test, sorting the image of every family."""
+    for labels, spec in plan:
+        for family in enumerate_families(spec, max_n):
+            image = mirror_pairs(spec.n, family.pairs)
+            if family.pairs <= image:
+                yield labels, spec.n, family, family.pairs != image
+
+
 def _hub_and_partners(pairs):
     counts = {}
     for pair in pairs:
@@ -164,6 +176,15 @@ def _hub_and_partners(pairs):
     hub = next(v for v, c in counts.items() if c == 2)
     low, high = sorted(v for pair in pairs if hub in pair for v in pair if v != hub)
     return hub, low, high
+
+
+def anatomy_by_sorting(pairs):
+    """(hub, low, high, triple, blocks) of a quasi-pairing, each part sorted
+    on its own: the hub's partners, the triple, then every block."""
+    hub, low, high = _hub_and_partners(pairs)
+    triple = tuple(sorted((hub, low, high)))
+    blocks = tuple(sorted([p for p in pairs if hub not in p] + [triple]))
+    return hub, low, high, triple, blocks
 
 
 def theorem3_conditions_by_sets(n, pairs):

@@ -315,6 +315,30 @@ class TestCensus:
         assert "n <= 14, got 15" in err
 
 
+class TestBrokenPipe:
+    """A stream piped into a reader that stops early ends quietly."""
+
+    # Each stream is over 64 KiB, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end.
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "9", "--kind", "partial-pairing"],
+        ["census", "--n", "7", "--kind", "partial-quasi"],
+    ])
+    def test_reader_closes_after_one_line(self, argv):
+        src = str(Path(revtour.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "revtour.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            status = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert first["n"] == int(argv[2])
+        assert status == 1 and err == b""
+
+
 class TestExport:
     def test_dot(self, capsys, monkeypatch):
         _, text, _ = run(capsys, monkeypatch, ["gen", "inv", "3", "--pairs", "0-2"])

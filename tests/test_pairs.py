@@ -1,5 +1,7 @@
 """Pair families, classification, anatomy, and irreducibility."""
 
+import pickle
+
 import pytest
 
 from revtour import (
@@ -20,7 +22,9 @@ from revtour import (
     support,
 )
 
-from oracles import all_set_partitions, naive_is_irreducible
+from revtour.pairs import _cached
+
+from oracles import all_set_partitions, anatomy_by_sorting, naive_is_irreducible
 
 
 class TestPairFamily:
@@ -119,7 +123,48 @@ class TestAnatomy:
     def test_derived_once(self):
         fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
         assert anatomy(fam) is anatomy(fam)
-        assert fam.support is fam.support
+        # The support is read off the support mask, which is kept.
+        assert fam.support == frozenset(range(5)) and "mask" in vars(fam)
+
+    @pytest.mark.parametrize("kind", ["quasi", "partial-quasi"])
+    def test_one_pass_matches_sorting(self, kind):
+        for n in range(3, 11):
+            for fam in enumerate_families(EnumSpec(n, kind)):
+                shape = anatomy(fam)
+                got = (shape.hub, shape.low, shape.high, shape.triple, shape.blocks)
+                assert got == anatomy_by_sorting(fam.pairs), fam
+
+
+class TestCachedSlot:
+    def test_getter_runs_once_per_instance(self):
+        calls = []
+
+        class Box:
+            @_cached
+            def value(self):
+                """A fresh object per box."""
+                calls.append(self)
+                return object()
+
+        first, second = Box(), Box()
+        assert first.value is first.value and second.value is not first.value
+        assert calls == [first, second]
+        assert vars(first) == {"value": first.value}
+        assert isinstance(Box.value, _cached) and Box.value.__doc__ == "A fresh object per box."
+
+    def test_family_slots_land_in_the_instance_dict(self):
+        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        shape, transversal = anatomy(fam), fam.transversal
+        assert vars(fam)["_anatomy"] is shape and vars(fam)["transversal"] is transversal
+        for name in ("mask", "transversal", "_hub", "_anatomy"):
+            assert isinstance(vars(PairFamily)[name], _cached), name
+
+    def test_walk_built_family_survives_pickling(self):
+        fam = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))
+        shape = anatomy(fam)
+        back = pickle.loads(pickle.dumps(fam))
+        assert type(back) is QuasiPairing and back == fam
+        assert vars(back) == vars(fam) and anatomy(back) == shape
 
 
 class TestMates:

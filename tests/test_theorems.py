@@ -36,9 +36,22 @@ from revtour import (
     verify_range,
 )
 from revtour.pairs import mirror_pairs
-from revtour.theorems import CHECKS, _check_family, _reduced_c4, _theorem3_conditions, check_instance
+from revtour.theorems import (
+    CHECKS,
+    TheoremInstance,
+    _check_family,
+    _orbit_tasks,
+    _reduced_c4,
+    _theorem3_conditions,
+    check_instance,
+)
 
-from oracles import reduced_c4_by_sets, theorem3_conditions_by_sets, unreduced_tasks
+from oracles import (
+    orbit_tasks_by_mirror,
+    reduced_c4_by_sets,
+    theorem3_conditions_by_sets,
+    unreduced_tasks,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -414,6 +427,45 @@ class TestMirrorOrbits:
         filed = [PairFamily.parse(v["n"], v["pairs"]) for v in oracles[3]["violations"]]
         own_image = [f for f in filed if mirror_pairs(f.n, f.pairs) == f.pairs]
         assert len(filed) > 300 and 0 < len(own_image) < len(filed)
+
+
+class TestLeastPairOrbitTest:
+    """``_orbit_tasks`` compares least pairs before it sorts any image."""
+
+    @pytest.mark.parametrize("kind", ["pairing", "partial-pairing", "quasi", "partial-quasi"])
+    def test_keeps_the_sorted_image_choice(self, kind):
+        plan = [(("row",), EnumSpec(n, kind)) for n in range(1, 11)]
+        assert list(_orbit_tasks(plan, None)) == list(orbit_tasks_by_mirror(plan, None))
+
+
+class TestFiledOnlyInstances:
+    """The checker makes a ``TheoremInstance`` only for a filed row."""
+
+    @staticmethod
+    def count_instances(monkeypatch):
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(TheoremInstance(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr("revtour.theorems.TheoremInstance", counted)
+        return made
+
+    def test_none_where_none_is_filed(self, monkeypatch):
+        made = self.count_instances(monkeypatch)
+        report = verify_range(3, 9, 9)
+        assert report.checked == 19152 and report.passed and made == []
+
+    def test_one_per_filed_row(self, monkeypatch):
+        made = self.count_instances(monkeypatch)
+        report = verify_range(2, 5, 5)
+        filed = report.violations + report.recorded
+        assert filed and sorted(map(id, made)) == sorted(map(id, filed))
+
+    def test_check_instance_makes_an_unfiled_row(self):
+        inst = check_instance("theorem3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
+        assert isinstance(inst, TheoremInstance) and inst.lhs == inst.rhs
 
 
 class TestCorollaries:
