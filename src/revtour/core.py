@@ -14,6 +14,7 @@ with i < j, character '1' meaning the arc i -> j is present.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import _normalize
@@ -268,9 +269,15 @@ def module_closure(t: Tournament, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(_mask_vertices(_closure_mask(_out_rows(t), (1 << t.n) - 1, mask)))
 
 
-def is_indecomposable_rows(rows: list[int], ground: int) -> bool:
-    """True when the subtournament on the vertex mask ``ground`` has only
-    trivial modules.
+@lru_cache(maxsize=1024)
+def _ground_vertices(ground: int) -> tuple[int, ...]:
+    """The vertices of a ground mask in increasing order, kept for the grounds met last."""
+    return tuple(_mask_vertices(ground))
+
+
+def module_rows(rows: list[int], ground: int) -> int:
+    """A nontrivial module of the subtournament on the vertex mask
+    ``ground``, as a vertex mask, or 0 when it has only trivial modules.
 
     A screen first: two ground-consecutive vertices that no other one
     tells apart are a module, as most small modules of a reversed order
@@ -282,14 +289,15 @@ def is_indecomposable_rows(rows: list[int], ground: int) -> bool:
     any nontrivial module holds v, some u and the closure of {v, u}.  For
     w the ground vertex after v, the module {v, w} fails the screen, and
     a larger one holds a third vertex u; so the closures of {v, u} for
-    the n - 2 vertices u past w must each be the whole ground.
+    the n - 2 vertices u past w must each be the whole ground.  The
+    module found first is returned.
     """
-    vertices = list(_mask_vertices(ground))
+    vertices = _ground_vertices(ground)
     if len(vertices) < 3:
-        return True
+        return 0
     for x, y in zip(vertices, vertices[1:]):
         if not (rows[x] ^ rows[y]) & ground & ~(1 << x | 1 << y):
-            return False
+            return 1 << x | 1 << y
     # v's row comes first.  One-vertex parts are dropped; a split re-queues its part.
     parts, pending = [ground & ground - 1], ground
     while parts and pending:
@@ -306,7 +314,13 @@ def is_indecomposable_rows(rows: list[int], ground: int) -> bool:
                 split += [p for p in (out, part ^ out) if p & p - 1]
         parts = split
     v = 1 << vertices[0]
-    return not parts and all(_closure_mask(rows, ground, v | 1 << u) == ground for u in vertices[2:])
+    closures = (_closure_mask(rows, ground, v | 1 << u) for u in vertices[2:])
+    return parts[0] if parts else next((c for c in closures if c != ground), 0)
+
+
+def is_indecomposable_rows(rows: list[int], ground: int) -> bool:
+    """True when the subtournament on the vertex mask ``ground`` has only trivial modules."""
+    return not module_rows(rows, ground)
 
 
 def is_indecomposable(t: Tournament) -> bool:

@@ -3,13 +3,15 @@ of indecomposable tournaments they produce when reversed inside a total
 order.
 
 Families come out as lexicographically increasing tuples of pairs, each
-family exactly once, so runs are deterministic (no API shards them yet).
+family exactly once, so runs are deterministic.  Shard (i, k) takes every
+k-th one-pair family and depth-two subtree of the walk from the i-th on,
+so k shards partition the stream; shard (0, 1) is the whole stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterator
 
 from .core import (
@@ -63,7 +65,7 @@ class EnumSpec:
         return self.kind in ("quasi", "partial-quasi")
 
 
-def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple, int, int]]:
+def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterator[tuple]:
     """DFS over families as lexicographically increasing tuples of pairs.
 
     ``doubled`` is the exact number of vertices allowed in two pairs (0
@@ -74,13 +76,17 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
     of the free mask and, while a hub is allowed, of the mask covered
     ``once`` (for a second end, only with a free first end), lowest first.
     Each family comes as ``(pairs, support, twice)``: its sorted pairs and
-    the bit masks of its support and of its hub (0 for a pairing).
+    the bit masks of its support and of its hub (0 for a pairing).  For ``shard``
+    (i, k), a node at depth one or two whose ordinal mod k is not i skips its
+    family and, at depth two, its subtree.
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
     min_pairs = 2 if doubled else 1
+    mine, k = shard
+    ordinals = count()
 
-    def rec(pa: int, pb: int, once: int, twice: int, hubs: int) -> Iterator[tuple]:
+    def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> Iterator[tuple]:
         free = full & ~(once | twice)
         top = (free & -free).bit_length() - 1 if full_support and free else n - 1
         firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
@@ -99,13 +105,15 @@ def _pair_walk(n: int, doubled: int, full_support: bool) -> Iterator[tuple[tuple
                 now_once, now_twice = once ^ pair, twice | once & pair
                 now_hubs = hubs + (once & pair != 0)
                 acc.append((a, b))
+                theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
                 covered = not full_support or now_once | now_twice == full
-                if covered and now_hubs == doubled and len(acc) >= min_pairs:
+                if covered and now_hubs == doubled and len(acc) >= min_pairs and not theirs:
                     yield tuple(acc), now_once | now_twice, now_twice
-                yield from rec(a, b, now_once, now_twice, now_hubs)
+                if not theirs or depth == 1:
+                    yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
                 acc.pop()
 
-    yield from rec(0, 0, 0, 0, 0)
+    yield from rec(0, 0, 0, 0, 0, 1)
 
 
 def default_limit(kind: str) -> int:
@@ -120,16 +128,21 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
 
-def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:
-    """All families matching the spec, in lexicographic order of pair tuples."""
+def enumerate_families(
+    spec: EnumSpec, max_n: int | None = None, *, shard: tuple[int, int] = (0, 1)
+) -> Iterator[PairFamily]:
+    """The families matching the spec in ``shard`` (i, k) of the walk, the
+    empty one in shard 0, in lexicographic order of pair tuples."""
     check_guard(spec, max_n)
+    if not 0 <= shard[0] < shard[1]:
+        raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
     if spec.is_quasi:
-        walk = _pair_walk(spec.n, 1, not spec.is_partial)
+        walk = _pair_walk(spec.n, 1, not spec.is_partial, shard)
         build, judge = QuasiPairing._from_walk, is_irreducible_quasi
     else:
-        walk = _pair_walk(spec.n, 0, not spec.is_partial)
+        walk = _pair_walk(spec.n, 0, not spec.is_partial, shard)
         build, judge = Pairing._from_walk, is_irreducible_pairing
-        if spec.include_empty and (spec.kind == "partial-pairing" or spec.n == 0):
+        if spec.include_empty and not shard[0] and (spec.kind == "partial-pairing" or spec.n == 0):
             walk = chain([((), 0, 0)], walk)
     keep_all = spec.filter == "all"
     for pairs, mask, twice in walk:

@@ -48,9 +48,10 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
-from .core import is_indecomposable_rows, reversal_rows
+from .core import is_indecomposable_rows, module_rows, reversal_rows
 from .enumeration import EnumSpec, check_guard, enumerate_families
 from .pairs import (
     PairFamily,
@@ -66,14 +67,12 @@ from .pairs import (
 # The characterizations are stated for ground sets of at least 5 vertices.
 CHARACTERIZATION_MIN_N = 5
 
-# Families per task batch sent to a pool worker.
-POOL_CHUNK = 256
-
 Sides = tuple[bool, bool, dict[str, bool]]
-# The out-rows of T(n, F) and whether T(n, F) is indecomposable.
-Reversal = tuple[list[int], bool]
+# The out-rows of T(n, F) and a nontrivial module of T(n, F), 0 when it has none.
+Reversal = tuple[list[int], int]
 # Rows to check, the size, a family and whether its mirror image is another family.
 Task = tuple[tuple[str, ...], int, PairFamily, bool]
+Plan = list[tuple[tuple[str, ...], EnumSpec]]
 
 
 @dataclass(frozen=True)
@@ -145,21 +144,28 @@ def _theorem1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
         raise ValueError("theorem 1 takes a partial pairing")
     irreducible = is_irreducible_pairing(family)
     transversal = family.transversal
-    return reversal[1], irreducible and transversal, {
+    return not reversal[1], irreducible and transversal, {
         "irreducible": irreducible, "transversal": transversal
     }
 
 
 def _theorem2_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     shape = anatomy(family)
-    rows, whole = reversal
-    ground = (1 << n) - 1
-    drop_low = is_indecomposable_rows(rows, ground ^ 1 << shape.low)
-    drop_high = is_indecomposable_rows(rows, ground ^ 1 << shape.high)
+    whole = not reversal[1]
+    drop_low = _deletion_indecomposable(n, reversal, shape.low)
+    drop_high = _deletion_indecomposable(n, reversal, shape.high)
     lhs = family.transversal and is_irreducible_quasi(family)
     return lhs, whole or drop_low or drop_high, {
         "whole": whole, "drop_low": drop_low, "drop_high": drop_high
     }
+
+
+def _deletion_indecomposable(n: int, reversal: Reversal, d: int) -> bool:
+    """Whether T(n, F) - d is indecomposable.  A module M of T(n, F) leaves
+    the module M - d of T(n, F) - d: a search is needed only when that is trivial."""
+    rest = (1 << n) - 1 ^ 1 << d
+    left = reversal[1] & rest
+    return not (left & left - 1 and left != rest) and is_indecomposable_rows(reversal[0], rest)
 
 
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
@@ -183,24 +189,20 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
     """
     _same_size(n, family)
     _warn_outside_hypothesis(n)
-    return _theorem3_conditions(n, family)
+    return _theorem3_conditions(n, family)[:4]
 
 
-def _short_starts(family: PairFamily) -> tuple[int, int]:
-    """Bit masks of x over the family's pairs {x, x + 1} and over its pairs {x, x + 2}."""
-    adjacent = spans2 = 0
-    for x, y in family.pairs:
-        adjacent |= (y - x == 1) << x
-        spans2 |= (y - x == 2) << x
-    return adjacent, spans2
-
-
-def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
+def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool, int]:
+    """(C1)-(C4), then the bit mask of x over the family's pairs {x, x + 1}."""
     shape = anatomy(family)
     hub = shape.hub
     c1 = family.transversal and is_irreducible_quasi(family)
     c2 = shape.high >= shape.low + 2
-    adjacent, spans2 = _short_starts(family)
+    # Bit masks of x over the pairs {x, x + 1} and over the pairs {x, x + 2}.
+    adjacent = spans2 = 0
+    for x, y in family.pairs:
+        adjacent |= (y - x == 1) << x
+        spans2 |= (y - x == 2) << x
     # {x, x+2} and {x+1, x+3} together need the hub at x or x+3.
     c3 = not spans2 & spans2 >> 1 & ~(1 << hub | 1 << hub >> 3)
     # Each {x, x+1} must hold the hub, whose two neighbours lie in the support.
@@ -210,12 +212,15 @@ def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, 
     if c4 and adjacent and hub in (0, n - 1):
         # The neighbour requirement already rules out the endpoints.
         raise _invariant_broken(n, family, "(C4) holds with the hub at an endpoint")
-    return c1, c2, c3, c4
+    return c1, c2, c3, c4, adjacent
+
+
+def _conditions_sides(reversal: Reversal, c1: bool, c2: bool, c3: bool, c4: bool) -> Sides:
+    return not reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
 def _theorem3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    c1, c2, c3, c4 = _theorem3_conditions(n, family)
-    return reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
+    return _conditions_sides(reversal, *_theorem3_conditions(n, family)[:4])
 
 
 def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
@@ -230,19 +235,17 @@ def _corollary1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
     return irreducible, indecomposable, {"transversal": details["transversal"]}
 
 
-def _reduced_c4(n: int, family: PairFamily) -> bool:
-    """Corollary 3's (C4): each {x, x+1} holds the hub, which is no end of 0..n-1."""
-    hub = anatomy(family).hub
-    adjacent = _short_starts(family)[0]
+def _reduced_c4(n: int, hub: int, adjacent: int) -> bool:
+    """Corollary 3's (C4) from the mask of x over pairs {x, x+1}: the hub, not an end, in each."""
     return not adjacent or (not adjacent & ~(1 << hub | 1 << hub >> 1) and 0 < hub < n - 1)
 
 
 def _corollary3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    lhs, rhs, details = _theorem3_sides(n, family, reversal)
+    *conditions, adjacent = _theorem3_conditions(n, family)
     # On full support the two readings of the adjacent-pair condition agree.
-    if _reduced_c4(n, family) != details["c4"]:
+    if _reduced_c4(n, anatomy(family).hub, adjacent) != conditions[3]:
         raise _invariant_broken(n, family, "the reduced (C4) disagrees with (C4)")
-    return lhs, rhs, details
+    return _conditions_sides(reversal, *conditions)
 
 
 @dataclass(frozen=True)
@@ -289,10 +292,10 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
 
 
 def _sides(labels: tuple[str, ...], n: int, family: PairFamily) -> list[Sides]:
-    """The named table rows' sides on one family, which share T(n, F) and its verdict."""
+    """The named table rows' sides on one family, which share T(n, F) and a module of it."""
     _same_size(n, family)
     rows = reversal_rows(n, family.pairs)
-    reversal = rows, is_indecomposable_rows(rows, (1 << n) - 1)
+    reversal = rows, module_rows(rows, (1 << n) - 1)
     out = []
     for label in labels:
         check = _BY_LABEL[label]
@@ -302,18 +305,19 @@ def _sides(labels: tuple[str, ...], n: int, family: PairFamily) -> list[Sides]:
     return out
 
 
-def _orbit_tasks(
-    plan: list[tuple[tuple[str, ...], EnumSpec]], max_n: int | None
-) -> Iterator[Task]:
-    """One task per mirror orbit, for the member the walk meets first."""
+def _orbit_tasks(plan: Plan, max_n: int | None, shard=(0, 1)) -> Iterator[Task]:
+    """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n):
-            # The image's least pair starts at n - 1 - (the largest support vertex).
-            lead = spec.n - family.mask.bit_length() - family.pairs[0][0]
+        for family in enumerate_families(spec, max_n, shard=shard):
+            pairs, top = family.pairs, family.mask.bit_length() - 1
+            # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
+            lead = spec.n - 1 - top - pairs[0][0]
+            if lead == 0:
+                lead = spec.n - 1 - next(x for x, y in reversed(pairs) if y == top) - pairs[0][1]
             if lead > 0:
                 yield labels, spec.n, family, True
-            elif lead == 0 and family.pairs <= (image := mirror_pairs(spec.n, family.pairs)):
-                yield labels, spec.n, family, family.pairs != image
+            elif lead == 0 and pairs <= (image := mirror_pairs(spec.n, pairs)):
+                yield labels, spec.n, family, pairs != image
 
 
 def _check_family(task: Task) -> tuple[int, list[TheoremInstance]]:
@@ -329,6 +333,15 @@ def _check_family(task: Task) -> tuple[int, list[TheoremInstance]]:
             raise _invariant_broken(n, family, "its mirror image has other sides")
         instances += [TheoremInstance(n, image, *s, label=label) for label, s in zip(kept, twins)]
     return len(labels) * (1 + paired), instances
+
+
+def _check_shard(plan: Plan, max_n: int | None, shard) -> tuple[int, list[TheoremInstance]]:
+    """``_check_family`` summed over the mirror orbits in ``shard`` of the plan's walks."""
+    checked, filed = 0, []
+    for rows, instances in map(_check_family, _orbit_tasks(plan, max_n, shard)):
+        checked += rows
+        filed += instances
+    return checked, filed
 
 
 def verify_range(
@@ -367,18 +380,18 @@ def verify_range(
     ]
     for _, spec in plan:
         check_guard(spec, max_n)
-    tasks = _orbit_tasks(plan, max_n)
+    # Worker i walks shard (i, jobs) of every walk of the plan on its own.
+    work, shards = partial(_check_shard, plan, max_n), [(i, jobs) for i in range(jobs)]
     if jobs > 1:
         import multiprocessing  # here, so that a serial run never loads it
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        mapped = pool.imap(_check_family, tasks, POOL_CHUNK) if pool else map(_check_family, tasks)
-        for checked, filed in mapped:
+        for checked, filed in pool.imap_unordered(work, shards) if pool else map(work, shards):
             report.checked += checked
             for inst in filed:
                 one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
                 (report.recorded if one_way else report.violations).append(inst)
-    # Rows arrive interleaved, orbit by orbit; file them in table order at
-    # each n, then in the walk's order, which is that of the pair tuples.
+    # Rows arrive interleaved, orbit by orbit and shard by shard; file them in
+    # table order at each n, then in the walk's order, that of the pair tuples.
     rows = [check.label for check in checks]
     for filed in (report.violations, report.recorded):
         filed.sort(key=lambda inst: (inst.n, rows.index(inst.label), inst.family.pairs))

@@ -10,13 +10,14 @@ def fake_pool(monkeypatch):
     The machine reports 4 CPUs for the duration of the test.  Returns
     the list of pool sizes requested, so a test can check the job count
     that reached the pool without starting a process; its ``tasks``
-    attribute counts the tasks the pools mapped.
+    attribute lists the tasks the pools mapped, in the order mapped.
     """
 
     class PoolLog(list):
-        tasks = 0
+        tasks: list
 
     sizes = PoolLog()
+    sizes.tasks = []
 
     class SerialPool:
         def __init__(self, processes):
@@ -28,9 +29,9 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize=1):
+        def imap_unordered(self, fn, tasks, chunksize=1):
             for task in tasks:
-                sizes.tasks += 1
+                sizes.tasks.append(task)
                 yield fn(task)
 
     monkeypatch.setattr("multiprocessing.Pool", SerialPool)

@@ -148,21 +148,22 @@ def canonical_form_by_scan(t) -> str:
     )
 
 
-def unreduced_tasks(plan, max_n):
-    """Every enumerated family as a task of its own, with no mirror image
-    to stand for: ``revtour.theorems._orbit_tasks`` before the mirror-orbit
-    reduction, fed to the same driver."""
+def unreduced_tasks(plan, max_n, shard=(0, 1)):
+    """Every family of the walks' shard as a task of its own, with no
+    mirror image to stand for: ``revtour.theorems._orbit_tasks`` before the
+    mirror-orbit reduction, fed to the same driver."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n):
+        for family in enumerate_families(spec, max_n, shard=shard):
             yield labels, spec.n, family, False
 
 
-def orbit_tasks_by_mirror(plan, max_n):
-    """One task per mirror orbit, keeping a family whose pair tuple is not
-    larger than its mirrored tuple: ``revtour.theorems._orbit_tasks``
-    before its least-pair test, sorting the image of every family."""
+def orbit_tasks_by_mirror(plan, max_n, shard=(0, 1)):
+    """One task per mirror orbit of the walks' shard, keeping a family whose
+    pair tuple is not larger than its mirrored tuple:
+    ``revtour.theorems._orbit_tasks`` before its least-pair test, sorting
+    the image of every family."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n):
+        for family in enumerate_families(spec, max_n, shard=shard):
             image = mirror_pairs(spec.n, family.pairs)
             if family.pairs <= image:
                 yield labels, spec.n, family, family.pairs != image

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import revtour
+import revtour.theorems
 from revtour import TheoremInstance, PairFamily, Tournament, VerificationReport
 from revtour.cli import main
 
@@ -198,11 +199,18 @@ class TestVerify:
         argv = ["verify", "--theorem", "corollaries", "--n-range", "5..7"]
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_pool == []
+        orbits = []
+        real = revtour.theorems._check_family
+        monkeypatch.setattr(
+            "revtour.theorems._check_family", lambda task: orbits.append(task) or real(task)
+        )
         _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
-        # One pool for the whole run, fed one family per mirror orbit: 16 of
+        # One pool for the whole run, fed one task per worker: its shard of
+        # every walk.  The workers check one family per mirror orbit: 16 of
         # the 30 quasi-pairings at n = 5, 11 of the 15 pairings at n = 6 and
         # 162 of the 315 quasi-pairings at n = 7.
-        assert fake_pool == [2] and fake_pool.tasks == 16 + 11 + 162
+        assert fake_pool == [2] and fake_pool.tasks == [(0, 2), (1, 2)]
+        assert len(orbits) == 16 + 11 + 162
         assert MS.sub("", pooled) == MS.sub("", serial)
 
     def test_import_leaves_out_multiprocessing(self):

@@ -1,5 +1,7 @@
 """Tournament construction, modules, indecomposability, isomorphism."""
 
+from itertools import combinations
+
 import pytest
 
 from revtour import (
@@ -22,9 +24,11 @@ from revtour import (
 )
 from revtour.core import (
     _closure_mask,
+    _is_module_mask,
     _mask_vertices,
     _out_rows,
     is_indecomposable_rows,
+    module_rows,
     reversal_rows,
 )
 
@@ -295,6 +299,45 @@ class TestFixedVertex:
                     for ground in (whole, *(whole ^ 1 << v for v in range(n))):
                         want = indecomposable_by_pairs(rows, ground)
                         assert is_indecomposable_rows(rows, ground) == want, (family, ground)
+
+
+class TestModuleRows:
+    """``module_rows`` hands back a nontrivial module, or 0 when the
+    subscan finds only trivial ones."""
+
+    def test_every_reversal_and_deletion_to_eight_points(self):
+        only_trivial = {}
+        for n in range(9):
+            whole = (1 << n) - 1
+            for kind in ("partial-pairing", "partial-quasi"):
+                for family in enumerate_families(EnumSpec(n, kind)):
+                    rows = reversal_rows(n, family.pairs)
+                    for ground in (whole, *(whole ^ 1 << v for v in range(n))):
+                        members = list(_mask_vertices(ground))
+                        # The subtournament on the ground, relabeled by rank.
+                        sub = Tournament(len(members), sum(
+                            1 << k for k, (x, y) in enumerate(combinations(members, 2))
+                            if rows[x] >> y & 1
+                        ))
+                        if sub not in only_trivial:
+                            only_trivial[sub] = all(
+                                len(m) < 2 or len(m) == sub.n for m in all_modules_bruteforce(sub)
+                            )
+                        module = module_rows(rows, ground)
+                        assert (module == 0) == only_trivial[sub], (family, ground)
+                        if module:
+                            # Vertices off the ground, with empty rows, see every set alike.
+                            inside = [r if ground >> v & 1 else 0 for v, r in enumerate(rows)]
+                            assert _is_module_mask(inside, n, module), (family, ground)
+                            assert not module & ~ground and 2 <= module.bit_count() < len(members)
+
+    def test_module_of_each_stage(self):
+        # The screen's twins, the refinement's first part, then the first
+        # closure of {v, u} short of the ground, on the cases above.
+        assert module_rows(reversal_rows(6, [(2, 5), (3, 4)]), 0b111111) == 0b000011
+        assert module_rows(reversal_rows(6, [(0, 3), (1, 5), (2, 3)]), 0b111111) == 0b010100
+        assert module_rows(reversal_rows(6, [(0, 2), (1, 3), (2, 5)]), 0b111111) == 0b001001
+        assert module_rows(reversal_rows(5, [(0, 2), (1, 4)]), 0b11111) == 0
 
 
 class TestAllModulesBruteforce:

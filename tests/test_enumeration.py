@@ -137,6 +137,39 @@ class TestStreamShape:
             list(enumerate_families(EnumSpec(8, "partial-pairing"), max_n=7))
 
 
+class TestShards:
+    """Shard (i, k) deals the walk's one-pair families and depth-two
+    subtrees round-robin, so the k shards partition the stream."""
+
+    @pytest.mark.parametrize("include_empty", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shards_partition_the_stream(self, kind, include_empty):
+        for n in range(11):
+            spec = EnumSpec(n, kind, include_empty=include_empty)
+            stream = [f.pairs for f in enumerate_families(spec)]
+            for k in range(1, 5):
+                shards = [
+                    [f.pairs for f in enumerate_families(spec, shard=(i, k))] for i in range(k)
+                ]
+                dealt = [pairs for shard in shards for pairs in shard]
+                # Disjoint, together the stream, and each in the stream's order.
+                assert len(set(dealt)) == len(dealt), (n, k)
+                assert sorted(dealt) == stream, (n, k)
+                assert all(shard == sorted(shard) for shard in shards), (n, k)
+                # Shard (0, 1) is the stream itself.
+                assert k > 1 or shards == [stream]
+
+    def test_every_shard_gets_work(self):
+        spec = EnumSpec(9, "partial-quasi")
+        sizes = [sum(1 for _ in enumerate_families(spec, shard=(i, 4))) for i in range(4)]
+        assert sum(sizes) == 19152 and min(sizes) > 19152 // 5
+
+    @pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0), (2, 2)])
+    def test_bad_shard(self, shard):
+        with pytest.raises(ValueError, match="0 <= i < k"):
+            next(enumerate_families(EnumSpec(5, "partial-pairing"), shard=shard))
+
+
 class TestWalkBuiltFamilies:
     """Families from the walk are built unvalidated, so they are checked
     against the families that the validating constructors build."""

@@ -35,6 +35,7 @@ from revtour import (
     transitive,
     verify_range,
 )
+from revtour.core import is_indecomposable_rows, reversal_rows
 from revtour.pairs import mirror_pairs
 from revtour.theorems import (
     CHECKS,
@@ -97,6 +98,19 @@ class TestTheorem2:
         lhs, rhs = theorem2_sides(6, family)
         assert lhs == rhs
 
+    def test_details_are_three_searches_to_nine_points(self):
+        # The whole tournament's module settles most deletions without a
+        # search; each verdict must be the search's own.
+        for n in range(3, 10):
+            whole = (1 << n) - 1
+            for family in enumerate_families(EnumSpec(n, "partial-quasi")):
+                rows, shape = reversal_rows(n, family.pairs), anatomy(family)
+                assert check_instance("theorem2", n, family).details == {
+                    "whole": is_indecomposable_rows(rows, whole),
+                    "drop_low": is_indecomposable_rows(rows, whole ^ 1 << shape.low),
+                    "drop_high": is_indecomposable_rows(rows, whole ^ 1 << shape.high),
+                }, family
+
     def test_converse_can_fail_at_five(self):
         # Irreducible transversal quasi-pairing whose three tournaments are
         # all decomposable; only the right-to-left implication is claimed.
@@ -126,7 +140,7 @@ class TestTheorem3ConditionOracle:
         seen = 0
         for n in range(3, 10):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                assert _theorem3_conditions(n, family) == theorem3_conditions_by_sets(
+                assert _theorem3_conditions(n, family)[:4] == theorem3_conditions_by_sets(
                     n, family.pairs
                 ), family
                 seen += 1
@@ -135,7 +149,8 @@ class TestTheorem3ConditionOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            assert (*_theorem3_conditions(n, family), _reduced_c4(n, family)) == (
+            *conditions, adjacent = _theorem3_conditions(n, family)
+            assert (*conditions, _reduced_c4(n, anatomy(family).hub, adjacent)) == (
                 *theorem3_conditions_by_sets(n, family.pairs),
                 reduced_c4_by_sets(n, family.pairs),
             ), family
@@ -272,27 +287,34 @@ class TestVerifyRange:
         assert report.checked == 2 * 315 and len(calls) == 162
 
     def test_corollary_rows_share_the_whole_verdict(self, monkeypatch):
-        calls = []
-        real = revtour.theorems.is_indecomposable_rows
+        calls = {}
 
-        def counting(rows, ground):
-            calls.append(ground)
-            return real(rows, ground)
+        def count(name):
+            real, calls[name] = getattr(revtour.theorems, name), []
 
-        monkeypatch.setattr("revtour.theorems.is_indecomposable_rows", counting)
+            def counting(rows, ground):
+                calls[name].append(ground)
+                return real(rows, ground)
+
+            monkeypatch.setattr(f"revtour.theorems.{name}", counting)
+
+        count("module_rows")
+        count("is_indecomposable_rows")
         report = verify_range("corollaries", 9, 9)
         # The 3,780 quasi-pairings of 9 points form 1,904 mirror orbits.  Per
-        # orbit, corollary 3 tests T(9, Q); corollary 2 takes that verdict and
-        # tests the two deletions.
-        assert report.checked == 2 * 3780 and len(calls) == 3 * 1904
+        # orbit, corollary 3 looks for a module of T(9, Q); corollary 2 takes
+        # it and tests a deletion only where the module does not settle it.
+        assert report.checked == 2 * 3780
+        assert calls["module_rows"] == [(1 << 9) - 1] * 1904
+        assert len(calls["is_indecomposable_rows"]) == 1653
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
         real = revtour.theorems.enumerate_families
 
-        def counting(spec, max_n=None):
+        def counting(spec, max_n=None, shard=(0, 1)):
             enumerated.append((spec.n, spec.kind))
-            return real(spec, max_n=max_n)
+            return real(spec, max_n=max_n, shard=shard)
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         report = verify_range("corollaries", 6, 7)
@@ -338,8 +360,8 @@ class TestVerifyRange:
         real_enumerate = revtour.theorems.enumerate_families
         real_rows = revtour.theorems.reversal_rows
 
-        def enumerating(spec, max_n=None):
-            for family in real_enumerate(spec, max_n=max_n):
+        def enumerating(spec, max_n=None, shard=(0, 1)):
+            for family in real_enumerate(spec, max_n=max_n, shard=shard):
                 events.append("family")
                 yield family
 
@@ -415,14 +437,16 @@ class TestMirrorOrbits:
         real = revtour.theorems._theorem3_conditions
 
         def flipped_c2(n, family):
-            c1, c2, c3, c4 = real(n, family)
-            return c1, not c2, c3, c4
+            c1, c2, c3, c4, adjacent = real(n, family)
+            return c1, not c2, c3, c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c2)
         oracles = {theorem: self.unreduced_doc(theorem) for theorem in (3, "corollaries")}
         for theorem, oracle in oracles.items():
             assert report_doc(theorem) == oracle
+            # Each worker files its own shard's instances; the merge is the same.
             assert report_doc(theorem, jobs=2) == oracle
+            assert report_doc(theorem, jobs=3) == oracle
         # Hundreds filed, from orbits of two families and from self-mirror ones.
         filed = [PairFamily.parse(v["n"], v["pairs"]) for v in oracles[3]["violations"]]
         own_image = [f for f in filed if mirror_pairs(f.n, f.pairs) == f.pairs]
@@ -435,7 +459,10 @@ class TestLeastPairOrbitTest:
     @pytest.mark.parametrize("kind", ["pairing", "partial-pairing", "quasi", "partial-quasi"])
     def test_keeps_the_sorted_image_choice(self, kind):
         plan = [(("row",), EnumSpec(n, kind)) for n in range(1, 11)]
-        assert list(_orbit_tasks(plan, None)) == list(orbit_tasks_by_mirror(plan, None))
+        for shard in ((0, 1), (1, 3)):
+            assert list(_orbit_tasks(plan, None, shard)) == list(
+                orbit_tasks_by_mirror(plan, None, shard)
+            )
 
 
 class TestFiledOnlyInstances:
@@ -614,8 +641,8 @@ class TestInvariants:
         real = revtour.theorems._theorem3_conditions
 
         def flipped_c4(n, family):
-            c1, c2, c3, c4 = real(n, family)
-            return c1, c2, c3, not c4
+            c1, c2, c3, c4, adjacent = real(n, family)
+            return c1, c2, c3, not c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c4)
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,0-4,1-3'.*reduced"):
