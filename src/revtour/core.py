@@ -84,18 +84,18 @@ class Tournament:
     @classmethod
     def from_text(cls, text: str) -> "Tournament":
         lines = text.splitlines()
-        if not lines or not lines[0].strip():
+        head = lines[0].strip() if lines else ""
+        if not head:
             raise ValueError("empty tournament text")
-        try:
-            n = int(lines[0].strip())
-        except ValueError:
-            raise ValueError(f"bad vertex count line {lines[0]!r}") from None
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not (head.isascii() and head.isdigit()):
+            raise ValueError(f"bad vertex count line {lines[0]!r}")
+        n = int(head)
         m = pair_count(n)
         row = lines[1].strip() if len(lines) > 1 else ""
         if len(row) != m or set(row) - {"0", "1"}:
             raise ValueError(f"arc row must be {m} characters over 01, got {row!r}")
+        if any(line.strip() for line in lines[2:]):
+            raise ValueError("only blank lines may follow the arc row")
         bits = 0
         for k, ch in enumerate(row):
             if ch == "1":

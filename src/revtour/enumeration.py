@@ -82,7 +82,6 @@ def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterat
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
-    min_pairs = 2 if doubled else 1
     mine, k = shard
     ordinals = count()
 
@@ -107,7 +106,8 @@ def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterat
                 acc.append((a, b))
                 theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
                 covered = not full_support or now_once | now_twice == full
-                if covered and now_hubs == doubled and len(acc) >= min_pairs and not theirs:
+                # A node holds a pair at least, and two pairs once it has a hub.
+                if covered and now_hubs == doubled and not theirs:
                     yield tuple(acc), now_once | now_twice, now_twice
                 if not theirs or depth == 1:
                     yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)

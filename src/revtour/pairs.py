@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def _normalize(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
@@ -71,15 +70,22 @@ class _cached(cached_property):
 class PairFamily:
     """A set of unordered vertex pairs over the ambient set 0..n-1.
 
-    Pairs are stored deduplicated, each as (x, y) with x < y, sorted.
-    Derived data is computed once, on first use, and kept on the family.
+    Pairs are stored deduplicated, each as (x, y) with x < y, sorted, with
+    the support mask ``mask`` and the hub ``_hub`` (-1 for none) folded from
+    them as in ``enumeration._pair_walk``; the rest is computed on first use.
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _normalize(self.n, self.pairs))
+        pairs = _normalize(self.n, self.pairs)
+        once = twice = 0
+        for x, y in pairs:
+            pair = 1 << x | 1 << y
+            # A free end becomes covered once, an end covered once becomes a hub.
+            once, twice = once ^ pair, twice | once & pair
+        self.__dict__.update(pairs=pairs, mask=once | twice, _hub=twice.bit_length() - 1)
         if error := self._size_error():
             raise ValueError(error)
 
@@ -88,7 +94,7 @@ class PairFamily:
         """Store the walk's sorted, distinct, in-range pairs, support mask and
         hub (-1 for none) as given; only the kind's size rule is checked."""
         family = object.__new__(cls)
-        object.__setattr__(family, "__dict__", {"n": n, "pairs": pairs, "mask": mask, "_hub": hub})
+        family.__dict__.update(n=n, pairs=pairs, mask=mask, _hub=hub)
         if error := family._size_error():
             raise RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {error}")
         return family
@@ -116,19 +122,9 @@ class PairFamily:
         return frozenset(v for v in range(self.n) if self.mask >> v & 1)
 
     @_cached
-    def mask(self) -> int:
-        """The support as a bit mask: bit v set for each covered vertex v."""
-        return reduce(or_, (1 << x | 1 << y for x, y in self.pairs), 0)
-
-    @_cached
     def transversal(self) -> bool:
         """True when the support meets every minimal co-module of the total order."""
         return is_order_transversal(self.n, self.mask)
-
-    @_cached
-    def _hub(self) -> int:
-        """The vertex in two pairs (-1 for none): adding up the pairs' bits counts its bit twice."""
-        return (sum((1 << x) + (1 << y) for x, y in self.pairs) - self.mask).bit_length() - 1
 
     @_cached
     def _anatomy(self) -> "QuasiAnatomy":
@@ -158,12 +154,11 @@ class PairFamily:
             return cls(n, ())
         pairs = []
         for token in text.split(","):
-            left, sep, right = token.partition("-")
-            try:
-                x, y = int(left), int(right)
-            except ValueError:
-                raise ValueError(f"bad pair token {token!r}") from None
-            if not sep or x >= y:
+            left, _, right = token.partition("-")
+            if not all(end.isascii() and end.isdigit() for end in (left, right)):
+                raise ValueError(f"bad pair token {token!r}")
+            x, y = int(left), int(right)
+            if x >= y:
                 raise ValueError(f"bad pair token {token!r}: want i-j with i < j")
             pairs.append((x, y))
         return cls(n, pairs)
@@ -184,13 +179,12 @@ class QuasiPairing(PairFamily):
     """A pair family covering an odd support with a single doubled vertex."""
 
     def _size_error(self) -> str | None:
-        if len(self.pairs) < 2 or self.mask.bit_count() != 2 * len(self.pairs) - 1:
+        if self.mask.bit_count() != 2 * len(self.pairs) - 1:
             return "a quasi-pairing needs at least 2 pairs with exactly one shared vertex"
         return None
 
 
-@dataclass(frozen=True)
-class QuasiAnatomy:
+class QuasiAnatomy(NamedTuple):
     """The distinguished vertices and merged partition of a quasi-pairing.
 
     ``hub`` is the unique vertex lying in two pairs, ``low < high`` are

@@ -59,10 +59,11 @@ class TestCheck:
 
     def test_module(self, capsys, monkeypatch):
         _, text, _ = run(capsys, monkeypatch, ["gen", "transitive", "5"])
-        status, out, _ = run(
-            capsys, monkeypatch, ["check", "module", "--set", "{1,2}"], stdin=text
-        )
-        assert status == 0 and json.loads(out) == {"module": True}
+        for vertex_set in ("{1,2}", "{}"):
+            status, out, _ = run(
+                capsys, monkeypatch, ["check", "module", "--set", vertex_set], stdin=text
+            )
+            assert status == 0 and json.loads(out) == {"module": True}
 
     def test_irreducible(self, capsys, monkeypatch):
         status, out, _ = run(
@@ -71,6 +72,10 @@ class TestCheck:
         )
         assert status == 0
         assert json.loads(out) == {"irreducible": True, "kind": "quasi-pairing"}
+        status, out, _ = run(
+            capsys, monkeypatch, ["check", "irreducible", "--n", "4", "--pairs", "0-1,2-3"]
+        )
+        assert status == 0 and json.loads(out) == {"irreducible": False, "kind": "pairing"}
 
     def test_irreducible_rejects_neither(self, capsys, monkeypatch):
         status, _, err = run(
@@ -81,10 +86,26 @@ class TestCheck:
 
     def test_bad_vertex_set(self, capsys, monkeypatch):
         _, text, _ = run(capsys, monkeypatch, ["gen", "transitive", "4"])
-        status, _, err = run(
-            capsys, monkeypatch, ["check", "module", "--set", "1,2"], stdin=text
-        )
-        assert status == 1 and "vertex set" in err
+        for vertex_set in ("1,2", "{1,x}"):
+            status, _, err = run(
+                capsys, monkeypatch, ["check", "module", "--set", vertex_set], stdin=text
+            )
+            assert status == 1 and f"bad vertex set {vertex_set!r}" in err
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["module"], "--set"),
+        (["irreducible"], "--n and --pairs"),
+        (["irreducible", "--n", "5"], "--n and --pairs"),
+        (["irreducible", "--pairs", "0-1"], "--n and --pairs"),
+    ])
+    def test_missing_option(self, capsys, monkeypatch, argv, needs):
+        status, out, err = run(capsys, monkeypatch, ["check", *argv], stdin="3\n111\n")
+        assert status == 1 and out == "" and needs in err
+
+    @pytest.mark.parametrize("text", ["3\n111\n3\n000\n", "+3\n111\n", " 0_3 \n111\n"])
+    def test_text_past_the_format_is_an_input_error(self, capsys, monkeypatch, text):
+        status, out, err = run(capsys, monkeypatch, ["check", "indecomposable"], stdin=text)
+        assert status == 1 and out == "" and err.startswith("error: ")
 
 
 class TestEnumerate:
@@ -141,10 +162,11 @@ class TestCount:
         assert json.loads(out) == {"2": 1, "4": 1, "6": 4}
 
     def test_bad_range(self, capsys, monkeypatch):
-        status, _, err = run(
-            capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", "6..2"]
-        )
-        assert status == 1 and "6..2" in err
+        for m_range in ("6..2", "a..3"):
+            status, _, err = run(
+                capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", m_range]
+            )
+            assert status == 1 and f"bad range {m_range!r}" in err
 
     def test_guard_is_the_enumeration_guard(self, capsys, monkeypatch):
         status, out, err = run(

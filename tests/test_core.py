@@ -422,7 +422,10 @@ class TestTextFormat:
         assert Tournament.from_text("0\n") == transitive(0)
 
     def test_bad_inputs(self):
-        for text in ("", "x\n101\n", "3\n11\n", "3\n112\n", "-1\n\n"):
+        for text in (
+            "", "x\n101\n", "3\n11\n", "3\n112\n", "-1\n\n", "+3\n111\n", " 0_3 \n111\n",
+            "3\n111\n3\n000\n", "1\n\nx\n",
+        ):
             with pytest.raises(ValueError):
                 Tournament.from_text(text)
 

@@ -46,6 +46,10 @@ class TestPairFamily:
     def test_equality_across_subclasses(self):
         assert Pairing(5, [(0, 2)]) == PairFamily(5, [(0, 2)])
         assert PairFamily(5, [(0, 2)]) != PairFamily(6, [(0, 2)])
+        fam = PairFamily(5, [(2, 4), (0, 2), (1, 3)])
+        assert len(fam) == 3 and list(fam) == [(0, 2), (1, 3), (2, 4)]
+        assert hash(fam) == hash(QuasiPairing(5, fam.pairs)) == hash((5, fam.pairs))
+        assert fam != fam.pairs and fam != "0-2,1-3,2-4" and fam.__eq__(None) is NotImplemented
 
     def test_subclass_validation(self):
         with pytest.raises(ValueError):
@@ -63,9 +67,13 @@ class TestPairFamily:
         assert PairFamily(5, []).serialize() == ""
 
     def test_parse_errors(self):
-        for text in ("0-2,1-x", "2-0", "3", "0-0", "0-9"):
+        for text in ("0-2,1-x", "2-0", "3", "0-0", "0-9", "+0-2", "0-2, 1-4", "-2", "0-"):
             with pytest.raises(ValueError):
                 PairFamily.parse(5, text)
+        # int() reads each end of these as 10 and 11.
+        for text in ("1_0-1_1", "10-+11", "10- 11"):
+            with pytest.raises(ValueError, match="bad pair token"):
+                PairFamily.parse(12, text)
 
 
 class TestClassify:
@@ -154,10 +162,12 @@ class TestCachedSlot:
 
     def test_family_slots_land_in_the_instance_dict(self):
         fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        # The constructor stores the support mask and the hub from the walk's fold.
+        assert vars(fam) == {"n": 5, "pairs": fam.pairs, "mask": 0b11111, "_hub": 2}
         shape, transversal = anatomy(fam), fam.transversal
         assert vars(fam)["_anatomy"] is shape and vars(fam)["transversal"] is transversal
-        for name in ("mask", "transversal", "_hub", "_anatomy"):
-            assert isinstance(vars(PairFamily)[name], _cached), name
+        slots = {name for name, value in vars(PairFamily).items() if isinstance(value, _cached)}
+        assert slots == {"transversal", "_anatomy"}
 
     def test_walk_built_family_survives_pickling(self):
         fam = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))

@@ -619,7 +619,7 @@ class TestInvariants:
         real = revtour.theorems.anatomy
         monkeypatch.setattr(
             "revtour.theorems.anatomy",
-            lambda family: replace(real(family), hub=EveryVertex(real(family).hub)),
+            lambda family: real(family)._replace(hub=EveryVertex(real(family).hub)),
         )
         family = QuasiPairing(5, [(0, 2), (2, 3), (1, 4)])
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,1-4,2-3'.*endpoint"):
