@@ -34,11 +34,18 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
+def _digits(text: str) -> int:
+    """A number written in ASCII digits only: no sign, space or underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"want ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     left, sep, right = text.partition("..")
     try:
-        lo, hi = int(left), int(right)
-    except ValueError:
+        lo, hi = _digits(left), _digits(right)
+    except argparse.ArgumentTypeError:
         raise _InputError(f"bad range {text!r}: want a..b") from None
     if not sep or lo > hi:
         raise _InputError(f"bad range {text!r}: want a..b with a <= b")
@@ -53,8 +60,8 @@ def _parse_vertex_set(text: str) -> list[int]:
     if not body:
         return []
     try:
-        return [int(tok) for tok in body.split(",")]
-    except ValueError:
+        return [_digits(tok.strip()) for tok in body.split(",")]
+    except argparse.ArgumentTypeError:
         raise _InputError(f"bad vertex set {text!r}") from None
 
 
@@ -73,7 +80,7 @@ def _effective_guard(args: argparse.Namespace, *kinds: str) -> int | None:
 
 
 def _add_guard_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-n", type=int, default=None, help="override the size guard")
+    parser.add_argument("--max-n", type=_digits, default=None, help="override the size guard")
     parser.add_argument(
         "--unsafe", action="store_true", help="allow --max-n above the default guard"
     )
@@ -181,19 +188,19 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="emit a tournament in text format")
     gen.add_argument("what", choices=["transitive", "inv"])
-    gen.add_argument("n", type=int)
+    gen.add_argument("n", type=_digits)
     gen.add_argument("--pairs", default="", help='pairs to reverse, e.g. "0-2,1-4"')
     gen.set_defaults(func=_cmd_gen)
 
     check = sub.add_parser("check", help="emit a JSON verdict")
     check.add_argument("what", choices=["indecomposable", "irreducible", "module"])
     check.add_argument("--set", default=None, help='vertex set, e.g. "{1,2}"')
-    check.add_argument("--n", type=int, default=None)
+    check.add_argument("--n", type=_digits, default=None)
     check.add_argument("--pairs", default=None)
     check.set_defaults(func=_cmd_check)
 
     enum = sub.add_parser("enumerate", help="emit families as JSON lines")
-    enum.add_argument("--n", type=int, required=True)
+    enum.add_argument("--n", type=_digits, required=True)
     enum.add_argument("--kind", required=True,
                       choices=["pairing", "partial-pairing", "quasi", "partial-quasi"])
     enum.add_argument("--irreducible-only", action="store_true")
@@ -210,12 +217,12 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="check a theorem exhaustively")
     verify.add_argument("--theorem", required=True, choices=["1", "2", "3", "corollaries"])
     verify.add_argument("--n-range", required=True, help="ambient sizes a..b")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_digits, default=1)
     _add_guard_options(verify)
     verify.set_defaults(func=_cmd_verify)
 
     cens = sub.add_parser("census", help="emit per-family verdicts as JSON lines")
-    cens.add_argument("--n", type=int, required=True)
+    cens.add_argument("--n", type=_digits, required=True)
     cens.add_argument("--kind", required=True,
                       choices=["pairing", "partial-pairing", "quasi", "partial-quasi"])
     _add_guard_options(cens)

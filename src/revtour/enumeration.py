@@ -6,6 +6,13 @@ Families come out as lexicographically increasing tuples of pairs, each
 family exactly once, so runs are deterministic.  Shard (i, k) takes every
 k-th one-pair family and depth-two subtree of the walk from the i-th on,
 so k shards partition the stream; shard (0, 1) is the whole stream.
+
+Under filter ``irreducible-only`` the walk judges pairings itself.  The cut
+before a support vertex v masks the support vertices >= v whose partner is
+< v; an interval of the support is a union of pairs exactly when the cuts
+at its ends agree, so a pairing is irreducible exactly when the cuts before
+its support vertices but the least are nonzero and pairwise distinct.  A
+hub fuses two pairs once placed, so quasi kinds are judged once built.
 """
 
 from __future__ import annotations
@@ -65,7 +72,14 @@ class EnumSpec:
         return self.kind in ("quasi", "partial-quasi")
 
 
-def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterator[tuple]:
+def _cuts(once: int, ends: int, v: int) -> list[int]:
+    """The cuts ``once & -(1 << u)`` before the vertices u >= v of ``ends``."""
+    return [once >> u << u for u in range(v, ends.bit_length()) if ends >> u & 1]
+
+
+def _pair_walk(
+    n: int, doubled: int, full_support: bool, shard=(0, 1), irreducible: bool = False
+) -> Iterator[tuple]:
     """DFS over families as lexicographically increasing tuples of pairs.
 
     ``doubled`` is the exact number of vertices allowed in two pairs (0
@@ -79,13 +93,22 @@ def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterat
     the bit masks of its support and of its hub (0 for a pairing).  For ``shard``
     (i, k), a node at depth one or two whose ordinal mod k is not i skips its
     family and, at depth two, its subtree.
+
+    With ``irreducible`` (pairings only) just the irreducible families come
+    out, by the module's cut rule.  First ends increase, so a first end a
+    past the least settles the cuts before the support vertices in (previous
+    first end, a], each ``once & -(1 << v)``.  One already in the path's set,
+    which starts as {0}, skips a, its subtree and their ordinals.  A family's
+    cuts above a are checked so before it is yielded, but not kept.
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
     mine, k = shard
     ordinals = count()
+    cuts = {0}
 
     def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> Iterator[tuple]:
+        prune = irreducible and once
         free = full & ~(once | twice)
         top = (free & -free).bit_length() - 1 if full_support and free else n - 1
         firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
@@ -93,6 +116,11 @@ def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterat
             low = firsts & -firsts
             firsts ^= low
             a = low.bit_length() - 1
+            if prune:
+                settled = _cuts(once, once & low - 1 | low, pa + 1)
+                if not cuts.isdisjoint(settled):
+                    continue
+                cuts.update(settled)
             seconds = free | once if hubs < doubled and free & low else free
             seconds &= -(2 << (pb if a == pa else a))
             while seconds:
@@ -107,11 +135,15 @@ def _pair_walk(n: int, doubled: int, full_support: bool, shard=(0, 1)) -> Iterat
                 theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
                 covered = not full_support or now_once | now_twice == full
                 # A node holds a pair at least, and two pairs once it has a hub.
-                if covered and now_hubs == doubled and not theirs:
+                if covered and now_hubs == doubled and not theirs and (
+                    not prune or cuts.isdisjoint(_cuts(now_once, now_once, a + 1))
+                ):
                     yield tuple(acc), now_once | now_twice, now_twice
                 if not theirs or depth == 1:
                     yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
                 acc.pop()
+            if prune:
+                cuts.difference_update(settled)
 
     yield from rec(0, 0, 0, 0, 0, 1)
 
@@ -136,15 +168,15 @@ def enumerate_families(
     check_guard(spec, max_n)
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
+    keep_all = spec.filter == "all"
     if spec.is_quasi:
         walk = _pair_walk(spec.n, 1, not spec.is_partial, shard)
         build, judge = QuasiPairing._from_walk, is_irreducible_quasi
     else:
-        walk = _pair_walk(spec.n, 0, not spec.is_partial, shard)
-        build, judge = Pairing._from_walk, is_irreducible_pairing
+        walk = _pair_walk(spec.n, 0, not spec.is_partial, shard, irreducible=not keep_all)
+        build, keep_all = Pairing._from_walk, True  # the walk has kept the irreducible ones
         if spec.include_empty and not shard[0] and (spec.kind == "partial-pairing" or spec.n == 0):
             walk = chain([((), 0, 0)], walk)
-    keep_all = spec.filter == "all"
     for pairs, mask, twice in walk:
         family = build(spec.n, pairs, mask, twice.bit_length() - 1)
         if keep_all or judge(family):

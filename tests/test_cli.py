@@ -59,7 +59,7 @@ class TestCheck:
 
     def test_module(self, capsys, monkeypatch):
         _, text, _ = run(capsys, monkeypatch, ["gen", "transitive", "5"])
-        for vertex_set in ("{1,2}", "{}"):
+        for vertex_set in ("{1,2}", "{}", "{ 1, 2 }"):
             status, out, _ = run(
                 capsys, monkeypatch, ["check", "module", "--set", vertex_set], stdin=text
             )
@@ -86,11 +86,12 @@ class TestCheck:
 
     def test_bad_vertex_set(self, capsys, monkeypatch):
         _, text, _ = run(capsys, monkeypatch, ["gen", "transitive", "4"])
-        for vertex_set in ("1,2", "{1,x}"):
-            status, _, err = run(
+        # Only ASCII digits name a vertex: no sign, underscore or other numeral.
+        for vertex_set in ("1,2", "{1,x}", "{+1,0_2}", "{-1}", "{1,,2}", "{\u0661}"):
+            status, out, err = run(
                 capsys, monkeypatch, ["check", "module", "--set", vertex_set], stdin=text
             )
-            assert status == 1 and f"bad vertex set {vertex_set!r}" in err
+            assert status == 1 and out == "" and f"bad vertex set {vertex_set!r}" in err
 
     @pytest.mark.parametrize("argv, needs", [
         (["module"], "--set"),
@@ -106,6 +107,22 @@ class TestCheck:
     def test_text_past_the_format_is_an_input_error(self, capsys, monkeypatch, text):
         status, out, err = run(capsys, monkeypatch, ["check", "indecomposable"], stdin=text)
         assert status == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "transitive", "+4"],
+    ["gen", "transitive", "0_4"],
+    ["check", "irreducible", "--n", " 4", "--pairs", "0-1"],
+    ["enumerate", "--n", "\u0664", "--kind", "pairing"],
+    ["census", "--n", "4_", "--kind", "pairing"],
+    ["verify", "--theorem", "1", "--n-range", "0_5..5"],
+    ["verify", "--theorem", "1", "--n-range", "5..5", "--max-n", "+5"],
+    ["verify", "--theorem", "1", "--n-range", "5..5", "--jobs", "1_0"],
+])
+def test_numbers_are_ascii_digits_only(capsys, monkeypatch, argv):
+    # int() would take each of these; the CLI takes only unsigned ASCII digits.
+    status, out, err = run(capsys, monkeypatch, argv)
+    assert status == 1 and out == "" and err.startswith("error: ")
 
 
 class TestEnumerate:
@@ -162,11 +179,11 @@ class TestCount:
         assert json.loads(out) == {"2": 1, "4": 1, "6": 4}
 
     def test_bad_range(self, capsys, monkeypatch):
-        for m_range in ("6..2", "a..3"):
-            status, _, err = run(
+        for m_range in ("6..2", "a..3", "1_0..+12", "2..+4", " 2..4", "2..", "\u0662..4"):
+            status, out, err = run(
                 capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", m_range]
             )
-            assert status == 1 and f"bad range {m_range!r}" in err
+            assert status == 1 and out == "" and f"bad range {m_range!r}" in err
 
     def test_guard_is_the_enumeration_guard(self, capsys, monkeypatch):
         status, out, err = run(

@@ -2,10 +2,12 @@
 
 import pickle
 from functools import reduce
+from math import comb
 from operator import or_
 
 import pytest
 
+import revtour.enumeration
 import revtour.pairs
 from revtour import (
     EnumSpec,
@@ -21,6 +23,7 @@ from revtour import (
     indecomposable_census,
     is_indecomposable,
     is_irreducible_pairing,
+    is_irreducible_quasi,
     reverse_pairs,
     transitive,
 )
@@ -40,6 +43,13 @@ from test_theorems import optimized_stdout
 
 def collect(n, kind, **kwargs):
     return list(enumerate_families(EnumSpec(n, kind, **kwargs)))
+
+
+# OEIS A000699, the connected chord diagrams on 2k points:
+# a(1) = 1, a(k) = (k - 1) * sum(a(i) * a(k - i), 0 < i < k).
+A000699 = [0, 1]
+for _k in range(2, 8):
+    A000699.append((_k - 1) * sum(A000699[i] * A000699[_k - i] for i in range(1, _k)))
 
 
 class TestEnumSpec:
@@ -248,6 +258,60 @@ class TestFilters:
             assert irreducible == indecomposable
 
 
+class TestPrunedWalk:
+    """The pairing walks decide irreducibility by their cuts, so every
+    ``irreducible-only`` stream is checked against ``pairs._sweep``."""
+
+    @staticmethod
+    def streams(kind, top):
+        for n in range(top + 1):
+            for include_empty in (False, True):
+                yield EnumSpec(n, kind, "irreducible-only", include_empty=include_empty)
+
+    @pytest.mark.parametrize("kind, top", [
+        ("pairing", 12), ("partial-pairing", 11), ("quasi", 9), ("partial-quasi", 9)
+    ])
+    def test_equal_to_the_swept_stream(self, kind, top):
+        judge = is_irreducible_quasi if "quasi" in kind else is_irreducible_pairing
+        for spec in self.streams(kind, top):
+            every = enumerate_families(EnumSpec(spec.n, kind, "all", spec.include_empty))
+            swept = [f.pairs for f in every if judge(f)]
+            assert [f.pairs for f in enumerate_families(spec)] == swept, spec
+
+    @pytest.mark.parametrize("kind, top", [("pairing", 12), ("partial-pairing", 11)])
+    def test_shards_partition_the_pruned_stream(self, kind, top):
+        for spec in self.streams(kind, top):
+            stream = [f.pairs for f in enumerate_families(spec)]
+            for k in range(1, 5):
+                shards = [
+                    [f.pairs for f in enumerate_families(spec, shard=(i, k))] for i in range(k)
+                ]
+                dealt = [pairs for shard in shards for pairs in shard]
+                assert len(dealt) == len(set(dealt)) and sorted(dealt) == stream, (spec, k)
+                assert all(shard == sorted(shard) for shard in shards), (spec, k)
+
+    def test_only_built_quasi_families_are_judged(self, monkeypatch):
+        calls = {"pairing": 0, "quasi": 0}
+        for name in calls:
+            judge = getattr(revtour.enumeration, f"is_irreducible_{name}")
+
+            def counted(family, name=name, judge=judge):
+                calls[name] += 1
+                return judge(family)
+
+            monkeypatch.setattr(f"revtour.enumeration.is_irreducible_{name}", counted)
+        kept = {
+            kind: len(collect(8, kind, filter="irreducible-only", include_empty=True))
+            for kind in ("pairing", "partial-pairing")
+        }
+        # Irreducibility depends only on the support's order: C(8, 2k) supports of a(k) each.
+        partial = 1 + sum(comb(8, 2 * k) * A000699[k] for k in range(1, 5))
+        assert kept == {"pairing": 27, "partial-pairing": partial}
+        assert calls == {"pairing": 0, "quasi": 0}
+        assert len(collect(7, "partial-quasi", filter="irreducible-only")) > 0
+        assert calls == {"pairing": 0, "quasi": partial_quasi_count(7)}
+
+
 class TestIrreducibleCounts:
     def test_frozen_values(self):
         # Computed by the exhaustive scan and confirmed by the naive oracle
@@ -256,14 +320,25 @@ class TestIrreducibleCounts:
         assert count_irreducible_pairings(4) == 1
         assert count_irreducible_pairings(6) == 4
         assert count_irreducible_pairings(8) == 27
-        # Irreducible pairings of 2k points are the connected chord diagrams,
-        # OEIS A000699: a(1) = 1, a(k) = (k - 1) * sum(a(i) * a(k - i), 0 < i < k).
-        a = [0, 1]
-        for k in range(2, 7):
-            a.append((k - 1) * sum(a[i] * a[k - i] for i in range(1, k)))
-        assert a[5:] == [248, 2830]
-        assert count_irreducible_pairings(10) == a[5]
-        assert count_irreducible_pairings(12) == a[6]
+        # Irreducible pairings of 2k points are the connected chord diagrams, A000699.
+        assert A000699[5:] == [248, 2830, 38232]
+        assert count_irreducible_pairings(10) == A000699[5]
+        assert count_irreducible_pairings(12) == A000699[6]
+        assert count_irreducible_pairings(14) == A000699[7]
+
+    def test_closed_count_of_transversal_ones(self):
+        # An irreducible transversal partial pairing of 0..n-1 is a support
+        # holding 0 and n-1 and missing j interior vertices, no two of them
+        # consecutive, with an irreducible pairing of its n - j points:
+        # I1(n) = sum over j with n - j even of C(n-1-j, j) * a((n - j) / 2).
+        closed = {
+            n: sum(comb(n - 1 - j, j) * A000699[(n - j) // 2] for j in range(n % 2, n, 2))
+            for n in range(5, 12)
+        }
+        assert list(closed.values()) == [3, 7, 21, 67, 229, 835, 3181]
+        for n, count in closed.items():
+            kept = collect(n, "partial-pairing", filter="irreducible-only")
+            assert sum(f.transversal for f in kept) == count, n
 
     def test_against_naive_oracle(self):
         from oracles import all_matchings
