@@ -17,6 +17,7 @@ from .core import GuardError, Tournament, is_indecomposable, is_module, reverse_
 from .enumeration import (
     EnumSpec,
     census,
+    check_guard,
     count_irreducible_pairings,
     default_limit,
     enumerate_families,
@@ -111,14 +112,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise _InputError("check irreducible needs --n and --pairs")
         family = PairFamily.parse(args.n, args.pairs)
         kind = classify(family)
-        if kind == "pairing":
-            verdict = {"irreducible": is_irreducible_pairing(family), "kind": kind}
-        elif kind == "quasi-pairing":
-            verdict = {"irreducible": is_irreducible_quasi(family), "kind": kind}
-        else:
+        judges = {"pairing": is_irreducible_pairing, "quasi-pairing": is_irreducible_quasi}
+        if kind not in judges:
             raise _InputError(
                 f"family {family.serialize()!r} is neither a pairing nor a quasi-pairing"
             )
+        verdict = {"irreducible": judges[kind](family), "kind": kind}
     print(json.dumps(verdict))
     return 0
 
@@ -142,11 +141,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.m_range)
     limit = _effective_guard(args, "pairing")
-    table = {}
-    for m in range(lo, hi + 1):
-        if m % 2:
-            continue
-        table[str(m)] = count_irreducible_pairings(m, max_m=limit)
+    sizes = range(lo + lo % 2, hi + 1, 2)
+    if sizes:  # the largest size first, so that none is counted past the guard
+        check_guard(EnumSpec(sizes[-1], "pairing"), limit)
+    table = {str(m): count_irreducible_pairings(m, max_m=limit) for m in sizes}
     print(json.dumps(table, separators=(",", ":")))
     return 0
 

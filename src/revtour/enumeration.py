@@ -7,12 +7,8 @@ family exactly once, so runs are deterministic.  Shard (i, k) takes every
 k-th one-pair family and depth-two subtree of the walk from the i-th on,
 so k shards partition the stream; shard (0, 1) is the whole stream.
 
-Under filter ``irreducible-only`` the walk judges pairings itself.  The cut
-before a support vertex v masks the support vertices >= v whose partner is
-< v; an interval of the support is a union of pairs exactly when the cuts
-at its ends agree, so a pairing is irreducible exactly when the cuts before
-its support vertices but the least are nonzero and pairwise distinct.  A
-hub fuses two pairs once placed, so quasi kinds are judged once built.
+Under filter ``irreducible-only`` the walk keeps only the irreducible
+families, by their cuts (``pairs._cuts``).
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from .pairs import (
     PairFamily,
     Pairing,
     QuasiPairing,
+    _cuts,
     is_irreducible_pairing,
     is_irreducible_quasi,
 )
@@ -72,9 +69,11 @@ class EnumSpec:
         return self.kind in ("quasi", "partial-quasi")
 
 
-def _cuts(once: int, ends: int, v: int) -> list[int]:
-    """The cuts ``once & -(1 << u)`` before the vertices u >= v of ``ends``."""
-    return [once >> u << u for u in range(v, ends.bit_length()) if ends >> u & 1]
+def _hub_cuts(pairs: list, hub: int, ends: int) -> list[int]:
+    """The cuts before the vertices of ``ends``, from the sorted pairs that
+    place the hub and the virtual pair of its two partners."""
+    virtual = tuple(x + y - hub for x, y in pairs if hub in (x, y))
+    return _cuts(ends, pairs=[*pairs, virtual])
 
 
 def _pair_walk(
@@ -94,12 +93,13 @@ def _pair_walk(
     (i, k), a node at depth one or two whose ordinal mod k is not i skips its
     family and, at depth two, its subtree.
 
-    With ``irreducible`` (pairings only) just the irreducible families come
-    out, by the module's cut rule.  First ends increase, so a first end a
-    past the least settles the cuts before the support vertices in (previous
-    first end, a], each ``once & -(1 << v)``.  One already in the path's set,
-    which starts as {0}, skips a, its subtree and their ordinals.  A family's
-    cuts above a are checked so before it is yielded, but not kept.
+    With ``irreducible`` a family comes out when the cuts before its support
+    vertices but the least are nonzero and pairwise distinct.  The set of
+    settled cuts holds 0 and, as none is settled before a hub, starts afresh
+    at the node placing it, with the cuts up to its first end a.  From there,
+    or from a pairing's first pair, a first end a settles those in (previous
+    a, a], each ``covered & -(1 << v)``.  One already in the set skips its
+    node, subtree and ordinals; a family's cuts above a are checked so.
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
@@ -108,8 +108,9 @@ def _pair_walk(
     cuts = {0}
 
     def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> Iterator[tuple]:
-        prune = irreducible and once
-        free = full & ~(once | twice)
+        covered = once | twice
+        prune = irreducible and hubs == doubled and covered
+        free = full & ~covered
         top = (free & -free).bit_length() - 1 if full_support and free else n - 1
         firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
         while firsts:
@@ -117,7 +118,7 @@ def _pair_walk(
             firsts ^= low
             a = low.bit_length() - 1
             if prune:
-                settled = _cuts(once, once & low - 1 | low, pa + 1)
+                settled = _cuts(covered & low - 1 | low, covered, pa + 1)
                 if not cuts.isdisjoint(settled):
                     continue
                 cuts.update(settled)
@@ -130,15 +131,24 @@ def _pair_walk(
                 pair = low | high
                 # A free end becomes covered once, an end covered once becomes a hub.
                 now_once, now_twice = once ^ pair, twice | once & pair
-                now_hubs = hubs + (once & pair != 0)
+                now_hubs = hubs
+                if once & pair:
+                    now_hubs += 1
+                    if irreducible:
+                        ends = (now_once | now_twice) & (2 << a) - 1
+                        placed = _hub_cuts([*acc, (a, b)], (once & pair).bit_length() - 1, ends)
+                        cuts.clear()
+                        cuts.update(placed)
+                        if len(cuts) < len(placed):
+                            continue
                 acc.append((a, b))
                 theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
-                covered = not full_support or now_once | now_twice == full
+                complete = not full_support or now_once | now_twice == full
                 # A node holds a pair at least, and two pairs once it has a hub.
-                if covered and now_hubs == doubled and not theirs and (
-                    not prune or cuts.isdisjoint(_cuts(now_once, now_once, a + 1))
-                ):
-                    yield tuple(acc), now_once | now_twice, now_twice
+                if complete and now_hubs == doubled and not theirs:
+                    now_covered = now_once | now_twice
+                    if not irreducible or cuts.isdisjoint(_cuts(now_covered, now_covered, a + 1)):
+                        yield tuple(acc), now_covered, now_twice
                 if not theirs or depth == 1:
                     yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
                 acc.pop()
@@ -168,19 +178,13 @@ def enumerate_families(
     check_guard(spec, max_n)
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
-    keep_all = spec.filter == "all"
-    if spec.is_quasi:
-        walk = _pair_walk(spec.n, 1, not spec.is_partial, shard)
-        build, judge = QuasiPairing._from_walk, is_irreducible_quasi
-    else:
-        walk = _pair_walk(spec.n, 0, not spec.is_partial, shard, irreducible=not keep_all)
-        build, keep_all = Pairing._from_walk, True  # the walk has kept the irreducible ones
-        if spec.include_empty and not shard[0] and (spec.kind == "partial-pairing" or spec.n == 0):
-            walk = chain([((), 0, 0)], walk)
+    irreducible = spec.filter == "irreducible-only"
+    walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible)
+    if spec.include_empty and not (shard[0] or spec.is_quasi) and (spec.is_partial or not spec.n):
+        walk = chain([((), 0, 0)], walk)
+    build = QuasiPairing._from_walk if spec.is_quasi else Pairing._from_walk
     for pairs, mask, twice in walk:
-        family = build(spec.n, pairs, mask, twice.bit_length() - 1)
-        if keep_all or judge(family):
-            yield family
+        yield build(spec.n, pairs, mask, twice.bit_length() - 1)
 
 
 def count_irreducible_pairings(m: int, max_m: int | None = None) -> int:

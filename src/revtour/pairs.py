@@ -10,7 +10,7 @@ Irreducibility is always judged against the support's induced integer
 order: a block partition is irreducible when no nontrivial interval of
 the ordered support is a union of blocks.  For a quasi-pairing the
 blocks are those of the merged partition, where the two hub pairs fuse
-into one 3-vertex block.
+into one 3-vertex block.  Every such test reads the cuts of ``_cuts``.
 
 Text format (bit-exact): comma-separated tokens "i-j" with i < j, sorted
 by (i, j); the empty family serializes to the empty string.
@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -240,20 +239,14 @@ def components(family: PairFamily) -> list[tuple[int, ...]]:
     For a pairing these are exactly its pairs; for a quasi-pairing, the
     hub's component is the triple and the rest are pairs.
     """
-    parent: dict[int, int] = {v: v for v in family.support}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    blocks: list[int] = []
     for x, y in family.pairs:
-        parent[find(x)] = find(y)
-    groups: dict[int, list[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+        block = 1 << x | 1 << y
+        for other in [b for b in blocks if b & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    return sorted(tuple(v for v in range(family.n) if b >> v & 1) for b in blocks)
 
 
 def mirror_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -266,56 +259,58 @@ def mirrored(family: PairFamily) -> PairFamily:
     return type(family)(family.n, mirror_pairs(family.n, family.pairs))
 
 
-def _sweep(parts: Sequence[tuple[int, ...]]) -> bool:
-    """Irreducibility of sorted blocks partitioning their ordered union, as
-    a built family's pairs or merged blocks do; no block is checked.
+def _cuts(
+    ends: int, covered: int = 0, start: int = 0, pairs: Sequence[tuple[int, int]] = ()
+) -> list[int]:
+    """The cuts before the vertices u >= start of ``ends``: each the set of
+    vertices >= u whose block meets those below u.  When every vertex is
+    paired with the least of its block, that is the union of the pairs whose
+    first end is below u, masked to the vertices >= u; ``covered`` holds the
+    pairs whose first ends are below ``start`` and ``pairs`` the rest."""
+    firsts: dict[int, int] = {}
+    for x, y in pairs:
+        firsts[x] = firsts.get(x, 0) | 1 << x | 1 << y
+    cuts = []
+    for u in range(start, ends.bit_length()):
+        if ends >> u & 1:
+            cuts.append(covered >> u << u)
+        if u in firsts:
+            covered |= firsts[u]
+    return cuts
 
-    Block k weighs B^k, B the least power of two above twice the largest
-    block size.  Its vertices carry +B^k but the largest, -(size - 1) B^k.
-    A run of vertices sums to the sum of c_k B^k, where c_k = 0 exactly
-    when block k lies wholly inside or outside the run; |c_k| < B/2 makes
-    the c_k balanced base-B digits, so the sum is 0 only if all are.  So,
-    P_i summing the first i of the k vertices, positions i..j-1 form a
-    union of blocks iff P_i = P_j, and the blocks are reducible iff that
-    holds for some j - i >= 2 other than (0, k).  A one-vertex block
-    weighs 0: the one way for j - i = 1 to repeat a sum.
-    """
-    shift = (2 * max(map(len, parts), default=0)).bit_length()
-    weight = {}
-    for k, block in enumerate(parts):
-        unit = 1 << shift * k
-        for v in block:
-            weight[v] = unit
-        weight[block[-1]] = (1 - len(block)) * unit
-    sums = list(accumulate(map(weight.__getitem__, sorted(weight)), initial=0))
-    k = len(sums) - 1
-    # Each sum's last position up to j - 2: for P_k, 0 unless P_0 repeats inside.
-    last: dict[int, int] = {}
-    for j in range(2, k + 1):
-        last[sums[j - 2]] = j - 2
-        i = last.get(sums[j])
-        if i is not None and (i or j < k):
-            return False
-    return True
+
+def _irreducible(ends: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    """Irreducibility of the blocks the pairs join against the k vertices of
+    ``ends``: no two of their cuts, and the 0 after them at k, are equal
+    j - i >= 2 apart, but the 0s at (0, k).  Only a one-vertex block
+    repeats a cut at j - i = 1."""
+    cuts = _cuts(ends, pairs=pairs)
+    k = len(cuts)
+    return len(set(cuts)) == k or not any(
+        cut in cuts[i + 2 :] or 0 < i < k - 1 and not cut for i, cut in enumerate(cuts)
+    )
 
 
 def is_irreducible_partition(vertices: Iterable[int], blocks: Iterable[Iterable[int]]) -> bool:
     """True when no nontrivial interval of the ordered set is a union of blocks."""
-    ground = set(vertices)
-    parts = [tuple(sorted(b)) for b in blocks]
-    flat = [v for b in parts for v in b]
-    if any(not b for b in parts) or len(flat) != len(set(flat)) or set(flat) != ground:
+    rank = {v: i for i, v in enumerate(sorted(set(vertices)))}
+    parts = [sorted(b) for b in blocks]
+    if not all(parts) or sorted(v for b in parts for v in b) != list(rank):
         raise ValueError("blocks must partition the ground set")
-    return _sweep(parts)
+    pairs = [(rank[b[0]], rank[v]) for b in parts for v in b[1:]]
+    return _irreducible((1 << len(rank)) - 1, pairs)
 
 
 def is_irreducible_pairing(family: PairFamily) -> bool:
     """Irreducibility of a pairing: its pairs (its components) against its ordered support."""
     if classify(family) != "pairing":
         raise ValueError("irreducibility of a pairing needs a pairing")
-    return _sweep(family.pairs)
+    return _irreducible(family.mask, family.pairs)
 
 
 def is_irreducible_quasi(family: PairFamily) -> bool:
-    """Irreducibility of a quasi-pairing: its merged partition against the support."""
-    return _sweep(anatomy(family).blocks)
+    """Irreducibility of a quasi-pairing: its merged partition, which its
+    pairs and the virtual pair of the hub's partners join, against its
+    ordered support."""
+    shape = anatomy(family)
+    return _irreducible(family.mask, [*family.pairs, (shape.low, shape.high)])

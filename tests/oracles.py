@@ -4,7 +4,7 @@ Everything here is deliberately naive: straight from the definitions,
 sharing nothing with the package internals beyond public data access.
 """
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb
 
 from revtour import enumerate_families
@@ -259,11 +259,44 @@ def pair_walk_by_counts(n, doubled, full_support):
     yield from rec(0, 0, 0)
 
 
+def sweep_by_prefix_sums(parts) -> bool:
+    """Irreducibility of sorted blocks partitioning their ordered union:
+    ``revtour.pairs._sweep`` as it stood before the cut rule.
+
+    Block k weighs B^k, B the least power of two above twice the largest
+    block size.  Its vertices carry +B^k but the largest, -(size - 1) B^k.
+    A run of vertices sums to the sum of c_k B^k, where c_k = 0 exactly
+    when block k lies wholly inside or outside the run; |c_k| < B/2 makes
+    the c_k balanced base-B digits, so the sum is 0 only if all are.  So,
+    P_i summing the first i of the k vertices, positions i..j-1 form a
+    union of blocks iff P_i = P_j, and the blocks are reducible iff that
+    holds for some j - i >= 2 other than (0, k).  A one-vertex block
+    weighs 0: the one way for j - i = 1 to repeat a sum.
+    """
+    shift = (2 * max(map(len, parts), default=0)).bit_length()
+    weight = {}
+    for k, block in enumerate(parts):
+        unit = 1 << shift * k
+        for v in block:
+            weight[v] = unit
+        weight[block[-1]] = (1 - len(block)) * unit
+    sums = list(accumulate(map(weight.__getitem__, sorted(weight)), initial=0))
+    k = len(sums) - 1
+    # Each sum's last position up to j - 2: for P_k, 0 unless P_0 repeats inside.
+    last = {}
+    for j in range(2, k + 1):
+        last[sums[j - 2]] = j - 2
+        i = last.get(sums[j])
+        if i is not None and (i or j < k):
+            return False
+    return True
+
+
 def sweep_by_spans(parts):
-    """``revtour.pairs._sweep`` as it stood before the prefix-sum pass:
-    from each vertex u, sweep right; the run from u to v is a union of
-    blocks iff no block met on the way starts below u and the farthest
-    end among them is v."""
+    """``revtour.pairs._sweep`` as it stood before the prefix-sum pass
+    (``sweep_by_prefix_sums``): from each vertex u, sweep right; the run
+    from u to v is a union of blocks iff no block met on the way starts
+    below u and the farthest end among them is v."""
     spans = sorted((v, b[0], b[-1]) for b in parts for v in b)
     for i, (u, _, _) in enumerate(spans):
         reach = u

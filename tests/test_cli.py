@@ -192,6 +192,17 @@ class TestCount:
         assert status == 1 and out == ""
         assert "enumeration of kind 'pairing' allows n <= 14, got 16" in err
 
+    def test_guard_is_checked_before_any_count(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "revtour.cli.count_irreducible_pairings", lambda *args, **kwargs: calls.append(args)
+        )
+        status, out, err = run(
+            capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", "2..16"]
+        )
+        assert status == 1 and out == "" and calls == []
+        assert "enumeration of kind 'pairing' allows n <= 14, got 16" in err
+
 
 class TestVerify:
     def test_theorem_pass(self, capsys, monkeypatch):

@@ -23,7 +23,6 @@ from revtour import (
     indecomposable_census,
     is_indecomposable,
     is_irreducible_pairing,
-    is_irreducible_quasi,
     reverse_pairs,
     transitive,
 )
@@ -37,6 +36,7 @@ from oracles import (
     pair_walk_by_counts,
     partial_quasi_count,
     quasi_pairing_count,
+    sweep_by_prefix_sums,
 )
 from test_theorems import optimized_stdout
 
@@ -259,8 +259,9 @@ class TestFilters:
 
 
 class TestPrunedWalk:
-    """The pairing walks decide irreducibility by their cuts, so every
-    ``irreducible-only`` stream is checked against ``pairs._sweep``."""
+    """Every walk decides irreducibility by its cuts, a quasi walk from the
+    node that places its hub on, so every ``irreducible-only`` stream is
+    checked against the prefix-sum sweep that the cut rule replaced."""
 
     @staticmethod
     def streams(kind, top):
@@ -268,19 +269,23 @@ class TestPrunedWalk:
             for include_empty in (False, True):
                 yield EnumSpec(n, kind, "irreducible-only", include_empty=include_empty)
 
-    @pytest.mark.parametrize("kind, top", [
-        ("pairing", 12), ("partial-pairing", 11), ("quasi", 9), ("partial-quasi", 9)
-    ])
+    TOPS = [("pairing", 12), ("partial-pairing", 11), ("quasi", 10), ("partial-quasi", 10)]
+
+    @pytest.mark.parametrize("kind, top", TOPS)
     def test_equal_to_the_swept_stream(self, kind, top):
-        judge = is_irreducible_quasi if "quasi" in kind else is_irreducible_pairing
         for spec in self.streams(kind, top):
             every = enumerate_families(EnumSpec(spec.n, kind, "all", spec.include_empty))
-            swept = [f.pairs for f in every if judge(f)]
+            swept = [
+                f.pairs for f in every
+                if sweep_by_prefix_sums(anatomy(f).blocks if spec.is_quasi else f.pairs)
+            ]
             assert [f.pairs for f in enumerate_families(spec)] == swept, spec
 
-    @pytest.mark.parametrize("kind, top", [("pairing", 12), ("partial-pairing", 11)])
+    @pytest.mark.parametrize("kind, top", TOPS)
     def test_shards_partition_the_pruned_stream(self, kind, top):
         for spec in self.streams(kind, top):
+            if spec.is_quasi and spec.include_empty:
+                continue  # the same stream as without: no quasi-pairing is empty
             stream = [f.pairs for f in enumerate_families(spec)]
             for k in range(1, 5):
                 shards = [
@@ -291,6 +296,7 @@ class TestPrunedWalk:
                 assert all(shard == sorted(shard) for shard in shards), (spec, k)
 
     def test_only_built_quasi_families_are_judged(self, monkeypatch):
+        # Since the quasi walks prune too, no built family is judged at all.
         calls = {"pairing": 0, "quasi": 0}
         for name in calls:
             judge = getattr(revtour.enumeration, f"is_irreducible_{name}")
@@ -307,9 +313,21 @@ class TestPrunedWalk:
         # Irreducibility depends only on the support's order: C(8, 2k) supports of a(k) each.
         partial = 1 + sum(comb(8, 2 * k) * A000699[k] for k in range(1, 5))
         assert kept == {"pairing": 27, "partial-pairing": partial}
-        assert calls == {"pairing": 0, "quasi": 0}
         assert len(collect(7, "partial-quasi", filter="irreducible-only")) > 0
-        assert calls == {"pairing": 0, "quasi": partial_quasi_count(7)}
+        assert len(collect(9, "quasi", filter="irreducible-only")) > 0
+        assert calls == {"pairing": 0, "quasi": 0}
+
+    def test_unfiltered_walk_computes_no_cut(self, monkeypatch):
+        calls = []
+        real = revtour.pairs._cuts
+        for module in (revtour.enumeration, revtour.pairs):
+            monkeypatch.setattr(
+                module, "_cuts", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+            )
+        built = sum(1 for _ in enumerate_families(EnumSpec(7, "partial-quasi")))
+        assert built == partial_quasi_count(7) and calls == []
+        # The same count sees the pruned walk's cuts.
+        assert collect(7, "partial-quasi", filter="irreducible-only") and calls
 
 
 class TestIrreducibleCounts:

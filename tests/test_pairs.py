@@ -24,7 +24,13 @@ from revtour import (
 
 from revtour.pairs import _cached
 
-from oracles import all_set_partitions, anatomy_by_sorting, naive_is_irreducible
+from oracles import (
+    all_set_partitions,
+    anatomy_by_sorting,
+    naive_is_irreducible,
+    sweep_by_prefix_sums,
+    sweep_by_spans,
+)
 
 
 class TestPairFamily:
@@ -230,7 +236,8 @@ class TestIrreduciblePartition:
         assert is_irreducible_partition(range(5), [(0, 2, 4), (1,), (3,)])
 
     def test_five_vertex_block(self):
-        # Block weights in base 4 would sum the run {4, 5} to 0: +4 for 4,
+        # Kept from the prefix-sum rule (oracles.sweep_by_prefix_sums):
+        # block weights in base 4 would sum the run {4, 5} to 0, +4 for 4,
         # the pair's first vertex, and -4 for 5, the big block's last.
         assert is_irreducible_partition(range(7), [(0, 1, 2, 3, 5), (4, 6)])
 
@@ -242,12 +249,15 @@ class TestIrreduciblePartition:
 
     def test_matches_naive_oracle(self):
         # Every set partition of 1-8 points, on a ground set with gaps so
-        # that neighbours in the order are not consecutive integers.
+        # that neighbours in the order are not consecutive integers: the
+        # cut rule against the definition and both sweeps it replaced.
         checked = 0
         for k in range(1, 9):
             ground = [3 * i + i % 2 for i in range(k)]
             for blocks in all_set_partitions(ground):
                 want = naive_is_irreducible(ground, blocks)
+                parts = [tuple(sorted(b)) for b in blocks]
+                assert sweep_by_prefix_sums(parts) == sweep_by_spans(parts) == want, blocks
                 assert is_irreducible_partition(ground, blocks) == want, blocks
                 checked += 1
         assert checked == 5295
@@ -294,9 +304,11 @@ class TestIrreducibleQuasi:
 
 def test_family_sweep_is_the_partition_test_to_nine_points():
     # The family entry points skip the partition check of
-    # is_irreducible_partition; both agree with the naive oracle.  Every
-    # family over fewer points has the pairs, and so the verdict, of one
-    # over 9 points.
+    # is_irreducible_partition, and a quasi-pairing's cuts come from its
+    # pairs plus the virtual pair of the hub's partners, not from its
+    # merged blocks; all agree with the naive oracle and both sweeps.
+    # Every family over fewer points has the pairs, and so the verdict, of
+    # one over 9 points.
     for kind, judge in (
         ("partial-pairing", is_irreducible_pairing),
         ("partial-quasi", is_irreducible_quasi),
@@ -304,6 +316,7 @@ def test_family_sweep_is_the_partition_test_to_nine_points():
         for fam in enumerate_families(EnumSpec(9, kind)):
             blocks = anatomy(fam).blocks if kind == "partial-quasi" else fam.pairs
             want = naive_is_irreducible(fam.support, blocks)
+            assert sweep_by_prefix_sums(blocks) == sweep_by_spans(blocks) == want, fam
             assert judge(fam) == is_irreducible_partition(fam.support, blocks) == want, fam
 
 

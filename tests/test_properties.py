@@ -177,7 +177,7 @@ def partitions(draw, max_vertices=16, max_block=6):
 
 @settings(max_examples=250)
 @given(partitions())
-def test_prefix_sum_test_is_the_span_sweep(case):
+def test_cut_rule_is_the_span_sweep(case):
     ground, blocks = case
     want = sweep_by_spans([tuple(sorted(b)) for b in blocks])
     assert is_irreducible_partition(ground, blocks) == want
