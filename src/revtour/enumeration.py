@@ -8,7 +8,8 @@ k-th one-pair family and depth-two subtree of the walk from the i-th on,
 so k shards partition the stream; shard (0, 1) is the whole stream.
 
 Under filter ``irreducible-only`` the walk keeps only the irreducible
-families, by their cuts (``pairs._cuts``).
+families, by their cuts (``pairs._cuts``).  ``enumerate_families`` builds
+a family from each tuple of ``_family_tuples``; the checker reads them bare.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .pairs import (
     Pairing,
     QuasiPairing,
     _cuts,
+    _partners,
     is_irreducible_pairing,
     is_irreducible_quasi,
 )
@@ -72,8 +74,7 @@ class EnumSpec:
 def _hub_cuts(pairs: list, hub: int, ends: int) -> list[int]:
     """The cuts before the vertices of ``ends``, from the sorted pairs that
     place the hub and the virtual pair of its two partners."""
-    virtual = tuple(x + y - hub for x, y in pairs if hub in (x, y))
-    return _cuts(ends, pairs=[*pairs, virtual])
+    return _cuts(ends, pairs=[*pairs, _partners(pairs, hub)])
 
 
 def _pair_walk(
@@ -170,20 +171,27 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
 
-def enumerate_families(
-    spec: EnumSpec, max_n: int | None = None, *, shard: tuple[int, int] = (0, 1)
-) -> Iterator[PairFamily]:
-    """The families matching the spec in ``shard`` (i, k) of the walk, the
-    empty one in shard 0, in lexicographic order of pair tuples."""
+def _family_tuples(spec: EnumSpec, max_n: int | None = None, shard=(0, 1)) -> Iterator[tuple]:
+    """The walk's ``(pairs, mask, twice)`` for the families matching the spec
+    in ``shard`` (i, k), the empty one first in shard 0.  Guard and shard
+    are checked at the call, not at the first step."""
     check_guard(spec, max_n)
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
     irreducible = spec.filter == "irreducible-only"
     walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible)
     if spec.include_empty and not (shard[0] or spec.is_quasi) and (spec.is_partial or not spec.n):
-        walk = chain([((), 0, 0)], walk)
+        return chain([((), 0, 0)], walk)
+    return walk
+
+
+def enumerate_families(
+    spec: EnumSpec, max_n: int | None = None, *, shard: tuple[int, int] = (0, 1)
+) -> Iterator[PairFamily]:
+    """The families matching the spec in ``shard`` (i, k) of the walk, the
+    empty one in shard 0, in lexicographic order of pair tuples."""
     build = QuasiPairing._from_walk if spec.is_quasi else Pairing._from_walk
-    for pairs, mask, twice in walk:
+    for pairs, mask, twice in _family_tuples(spec, max_n, shard):
         yield build(spec.n, pairs, mask, twice.bit_length() - 1)
 
 

@@ -24,6 +24,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
+def _partners(pairs: Iterable[tuple[int, int]], hub: int) -> tuple[int, int]:
+    """The two partners low < high of ``hub``, from its pairs in sorted order."""
+    low, high = [x + y - hub for x, y in pairs if x == hub or y == hub]
+    return low, high
+
+
 def _normalize(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     if n < 0:
         raise ValueError(f"ambient size must be nonnegative, got {n}")
@@ -54,15 +60,6 @@ def is_order_transversal(n: int, mask: int) -> bool:
         raise ValueError(f"total-order co-module formula needs n >= 3, got {n}")
     missing = ~mask & (1 << n) - 1
     return not missing & (1 | 1 << n - 1) and not missing & missing >> 1
-
-
-class _cached(cached_property):
-    """A ``functools.cached_property`` whose first read takes no lock, as from Python 3.12."""
-
-    def __get__(self, instance: object, owner: type | None = None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,26 +117,19 @@ class PairFamily:
         """Union of all pairs, read off the support mask."""
         return frozenset(v for v in range(self.n) if self.mask >> v & 1)
 
-    @_cached
+    @cached_property
     def transversal(self) -> bool:
         """True when the support meets every minimal co-module of the total order."""
         return is_order_transversal(self.n, self.mask)
 
-    @_cached
+    @cached_property
     def _anatomy(self) -> "QuasiAnatomy":
         if classify(self) != "quasi-pairing":
             raise ValueError("anatomy needs a quasi-pairing")
         hub = self._hub
-        # One pass: the sorted pairs through the hub give its partners in order.
-        blocks, partners = [], []
-        for pair in self.pairs:
-            if hub in pair:
-                partners.append(pair[0] + pair[1] - hub)
-            else:
-                blocks.append(pair)
-        low, high = partners
-        triple = (hub, low, high) if hub < low else (low, hub, high) if hub < high else (
-            low, high, hub)
+        low, high = _partners(self.pairs, hub)
+        triple = tuple(sorted((hub, low, high)))
+        blocks = [pair for pair in self.pairs if hub not in pair]
         insort(blocks, triple)
         return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
 
@@ -312,5 +302,6 @@ def is_irreducible_quasi(family: PairFamily) -> bool:
     """Irreducibility of a quasi-pairing: its merged partition, which its
     pairs and the virtual pair of the hub's partners join, against its
     ordered support."""
-    shape = anatomy(family)
-    return _irreducible(family.mask, [*family.pairs, (shape.low, shape.high)])
+    if classify(family) != "quasi-pairing":
+        raise ValueError("irreducibility of a quasi-pairing needs a quasi-pairing")
+    return _irreducible(family.mask, [*family.pairs, _partners(family.pairs, family._hub)])

@@ -31,14 +31,16 @@ matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 ``CHECKS`` is the single place where a check is defined: one row per
 theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides and its filing rule.  One driver,
-``verify_range``, runs the rows of a theorem id or of "corollaries",
-streaming each enumerated family once through every row of its kind.
+``verify_range``, runs the rows of a theorem id or of "corollaries".
+It reads the pair walk's ``(pairs, mask, twice)`` tuples, and every row
+of a family's kind reads one ``Shape`` derived from them once.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
 invariant under it.  So ``verify_range`` checks one family per mirror
-orbit, the one enumerated first, and counts both members; a filed
-family's mirror image is checked too and filed beside it.
+orbit, the one enumerated first, and counts both members.  A family
+object is built only for a filed row; its mirror image is checked too
+and filed beside it.
 """
 
 from __future__ import annotations
@@ -52,14 +54,16 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
-from .enumeration import EnumSpec, check_guard, enumerate_families
+from .enumeration import EnumSpec, _family_tuples, check_guard
 from .pairs import (
     PairFamily,
+    Pairing,
+    QuasiPairing,
+    _irreducible,
+    _partners,
     _same_size,
-    anatomy,
     classify,
-    is_irreducible_pairing,
-    is_irreducible_quasi,
+    is_order_transversal,
     mirror_pairs,
     mirrored,
 )
@@ -68,10 +72,14 @@ from .pairs import (
 CHARACTERIZATION_MIN_N = 5
 
 Sides = tuple[bool, bool, dict[str, bool]]
+# What every row reads of a family: its sorted pairs, support mask, hub, the
+# hub's partners low < high (all three -1 without a hub) and transversality.
+Shape = tuple[tuple[tuple[int, int], ...], int, int, int, int, bool]
 # The out-rows of T(n, F) and a nontrivial module of T(n, F), 0 when it has none.
 Reversal = tuple[list[int], int]
-# Rows to check, the size, a family and whether its mirror image is another family.
-Task = tuple[tuple[str, ...], int, PairFamily, bool]
+# Rows, size, the walk's (pairs, mask, twice) for a mirror orbit's first member,
+# and whether its mirror image is another family.
+Task = tuple[tuple[str, ...], int, tuple[tuple, int, int], bool]
 Plan = list[tuple[tuple[str, ...], EnumSpec]]
 
 
@@ -88,15 +96,9 @@ class TheoremInstance:
     label: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": self.family.serialize(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "details": dict(self.details),
-            "in_hypothesis": self.in_hypothesis,
-            "label": self.label,
-        }
+        return {"n": self.n, "pairs": self.family.serialize(), "lhs": self.lhs, "rhs": self.rhs,
+                "details": dict(self.details), "in_hypothesis": self.in_hypothesis,
+                "label": self.label}
 
 
 @dataclass
@@ -116,14 +118,10 @@ class VerificationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n_range": [self.n_min, self.n_max],
-            "checked": self.checked,
-            "violations": [inst.to_record() for inst in self.violations],
-            "recorded": [inst.to_record() for inst in self.recorded],
-            "ms": round(self.ms, 3),
-        }
+        return {"theorem": self.theorem, "n_range": [self.n_min, self.n_max],
+                "checked": self.checked,
+                "violations": [inst.to_record() for inst in self.violations],
+                "recorded": [inst.to_record() for inst in self.recorded], "ms": round(self.ms, 3)}
 
 
 def _warn_outside_hypothesis(n: int) -> None:
@@ -135,26 +133,31 @@ def _warn_outside_hypothesis(n: int) -> None:
         )
 
 
-def _invariant_broken(n: int, family: PairFamily, what: str) -> RuntimeError:
-    return RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {what}")
+def _invariant_broken(n: int, pairs: tuple, what: str) -> RuntimeError:
+    text = ",".join(f"{x}-{y}" for x, y in pairs)
+    return RuntimeError(f"invariant broken at n={n}, pairs {text!r}: {what}")
 
 
-def _theorem1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    if classify(family) != "pairing":
-        raise ValueError("theorem 1 takes a partial pairing")
-    irreducible = is_irreducible_pairing(family)
-    transversal = family.transversal
+def _shape(n: int, pairs: tuple, mask: int, hub: int) -> Shape:
+    """The ``Shape`` of the family with these sorted pairs, support mask and hub."""
+    low, high = _partners(pairs, hub) if hub >= 0 else (-1, -1)
+    return pairs, mask, hub, low, high, is_order_transversal(n, mask)
+
+
+def _theorem1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
+    pairs, mask, *_, transversal = shape
+    irreducible = _irreducible(mask, pairs)
     return not reversal[1], irreducible and transversal, {
         "irreducible": irreducible, "transversal": transversal
     }
 
 
-def _theorem2_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    shape = anatomy(family)
+def _theorem2_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
+    pairs, mask, _, low, high, transversal = shape
     whole = not reversal[1]
-    drop_low = _deletion_indecomposable(n, reversal, shape.low)
-    drop_high = _deletion_indecomposable(n, reversal, shape.high)
-    lhs = family.transversal and is_irreducible_quasi(family)
+    drop_low = _deletion_indecomposable(n, reversal, low)
+    drop_high = _deletion_indecomposable(n, reversal, high)
+    lhs = transversal and _irreducible(mask, [*pairs, (low, high)])
     return lhs, whole or drop_low or drop_high, {
         "whole": whole, "drop_low": drop_low, "drop_high": drop_high
     }
@@ -171,56 +174,52 @@ def _deletion_indecomposable(n: int, reversal: Reversal, d: int) -> bool:
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(indecomposable, irreducible-transversal) for a partial pairing."""
     _warn_outside_hypothesis(n)
-    return _sides(("theorem1",), n, family)[0][:2]
+    return _sides(("theorem1",), n, _family_shape("theorem1", n, family))[0][:2]
 
 
 def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
     _warn_outside_hypothesis(n)
-    return _sides(("theorem2",), n, family)[0][:2]
+    return _sides(("theorem2",), n, _family_shape("theorem2", n, family))[0][:2]
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
-    """The four conditions (C1)-(C4) for a partial quasi-pairing.
-
-    (C3) and (C4) quantify v over all vertices, but only pairs
-    {x, x+2} and {x, x+1} can meet their antecedents, so each is a test
-    on the bit mask of such pairs' least ends.
-    """
-    _same_size(n, family)
+    """The four conditions (C1)-(C4) for a partial quasi-pairing.  (C3) and
+    (C4) quantify v over all vertices, but only pairs {x, x+2} and {x, x+1}
+    can meet their antecedents, so each is a test on the bit mask of such
+    pairs' least ends."""
     _warn_outside_hypothesis(n)
-    return _theorem3_conditions(n, family)[:4]
+    return _theorem3_conditions(n, _family_shape("theorem3", n, family))[:4]
 
 
-def _theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool, int]:
+def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, bool, int]:
     """(C1)-(C4), then the bit mask of x over the family's pairs {x, x + 1}."""
-    shape = anatomy(family)
-    hub = shape.hub
-    c1 = family.transversal and is_irreducible_quasi(family)
-    c2 = shape.high >= shape.low + 2
+    pairs, mask, hub, low, high, transversal = shape
+    c1 = transversal and _irreducible(mask, [*pairs, (low, high)])
+    c2 = high >= low + 2
     # Bit masks of x over the pairs {x, x + 1} and over the pairs {x, x + 2}.
     adjacent = spans2 = 0
-    for x, y in family.pairs:
+    for x, y in pairs:
         adjacent |= (y - x == 1) << x
         spans2 |= (y - x == 2) << x
     # {x, x+2} and {x+1, x+3} together need the hub at x or x+3.
     c3 = not spans2 & spans2 >> 1 & ~(1 << hub | 1 << hub >> 3)
     # Each {x, x+1} must hold the hub, whose two neighbours lie in the support.
     c4 = not adjacent or (
-        not adjacent & ~(1 << hub | 1 << hub >> 1) and family.mask << 1 >> hub & 5 == 5
+        not adjacent & ~(1 << hub | 1 << hub >> 1) and mask << 1 >> hub & 5 == 5
     )
     if c4 and adjacent and hub in (0, n - 1):
         # The neighbour requirement already rules out the endpoints.
-        raise _invariant_broken(n, family, "(C4) holds with the hub at an endpoint")
+        raise _invariant_broken(n, pairs, "(C4) holds with the hub at an endpoint")
     return c1, c2, c3, c4, adjacent
 
 
-def _conditions_sides(reversal: Reversal, c1: bool, c2: bool, c3: bool, c4: bool) -> Sides:
+def _theorem3_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
+    c1, c2, c3, c4, adjacent = _theorem3_conditions(n, shape)
+    # On full support corollary 3's reduced (C4) must agree with (C4).
+    if shape[1] == (1 << n) - 1 and _reduced_c4(n, shape[2], adjacent) != c4:
+        raise _invariant_broken(n, shape[0], "the reduced (C4) disagrees with (C4)")
     return not reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
-
-
-def _theorem3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    return _conditions_sides(reversal, *_theorem3_conditions(n, family)[:4])
 
 
 def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
@@ -229,23 +228,15 @@ def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
     return check_instance("theorem3", n, family)
 
 
-def _corollary1_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
+def _corollary1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
     # Corollary 1 states theorem 1's equivalence with irreducibility on the left.
-    indecomposable, irreducible, details = _theorem1_sides(n, family, reversal)
+    indecomposable, irreducible, details = _theorem1_sides(n, shape, reversal)
     return irreducible, indecomposable, {"transversal": details["transversal"]}
 
 
 def _reduced_c4(n: int, hub: int, adjacent: int) -> bool:
     """Corollary 3's (C4) from the mask of x over pairs {x, x+1}: the hub, not an end, in each."""
     return not adjacent or (not adjacent & ~(1 << hub | 1 << hub >> 1) and 0 < hub < n - 1)
-
-
-def _corollary3_sides(n: int, family: PairFamily, reversal: Reversal) -> Sides:
-    *conditions, adjacent = _theorem3_conditions(n, family)
-    # On full support the two readings of the adjacent-pair condition agree.
-    if _reduced_c4(n, anatomy(family).hub, adjacent) != conditions[3]:
-        raise _invariant_broken(n, family, "the reduced (C4) disagrees with (C4)")
-    return _conditions_sides(reversal, *conditions)
 
 
 @dataclass(frozen=True)
@@ -255,17 +246,17 @@ class Check:
     ``run`` is the ``verify_range`` theorem id whose runs include the row,
     ``kind`` the enumerated family kind, ``applies`` the ambient sizes the
     row is checked at, and ``sides`` returns (lhs, rhs, details) from the
-    size, the family and the ``Reversal`` that all rows checking the family
-    share.  At ``one_way_at`` only rhs => lhs is claimed: an instance with
-    lhs and not rhs there is recorded, not counted as a violation.  Runs
-    start at ``least_n`` or above: theorem 1's transversal test needs 3.
+    size, the family's ``Shape`` and the ``Reversal`` that all rows checking
+    the family share.  At ``one_way_at`` only rhs => lhs is claimed: an
+    instance with lhs and not rhs there is recorded, not counted as a
+    violation.  Runs start at ``least_n`` or above: theorem 1 needs 3.
     """
 
     run: int | str
     label: str
     kind: str
     applies: Callable[[int], bool]
-    sides: Callable[[int, PairFamily, Reversal], Sides]
+    sides: Callable[[int, Shape, Reversal], Sides]
     one_way_at: int | None = None
     least_n: int = 0
 
@@ -278,67 +269,83 @@ CHECKS = (
     Check("corollaries", "corollary1", "pairing",
           lambda n: n % 2 == 0 and n >= 6, _corollary1_sides),
     Check("corollaries", "corollary3", "quasi",
-          lambda n: n % 2 == 1 and n >= 5, _corollary3_sides),
+          lambda n: n % 2 == 1 and n >= 5, _theorem3_sides),
     Check("corollaries", "corollary2", "quasi",
           lambda n: n % 2 == 1 and n >= 7, _theorem2_sides),
 )
 _BY_LABEL = {check.label: check for check in CHECKS}
 
 
+def _family_shape(label: str, n: int, family: PairFamily) -> Shape:
+    """The ``Shape`` of a family given to the table row ``label`` over
+    0..n-1; ValueError when the family is not of the row's kind."""
+    if label not in _BY_LABEL:
+        raise ValueError(f"unknown row {label!r}, want one of {tuple(_BY_LABEL)}")
+    _same_size(n, family)
+    kind = _BY_LABEL[label].kind
+    full = family.mask if kind.startswith("partial") else (1 << n) - 1
+    wanted = "quasi-pairing" if "quasi" in kind else "pairing"
+    if classify(family) != wanted or family.mask != full:
+        raise ValueError(f"{label} takes a family of kind {kind!r}, got {family.serialize()!r}")
+    return _shape(n, family.pairs, family.mask, family._hub)
+
+
 def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     """Evaluate the table row ``label`` on one family over 0..n-1."""
-    sides = _sides((label,), n, family)[0]
+    sides = _sides((label,), n, _family_shape(label, n, family))[0]
     return TheoremInstance(n, family, *sides, n >= CHARACTERIZATION_MIN_N, label)
 
 
-def _sides(labels: tuple[str, ...], n: int, family: PairFamily) -> list[Sides]:
-    """The named table rows' sides on one family, which share T(n, F) and a module of it."""
-    _same_size(n, family)
-    rows = reversal_rows(n, family.pairs)
+def _sides(labels: tuple[str, ...], n: int, shape: Shape) -> list[Sides]:
+    """The sides of the named rows, all of one kind, which share T(n, F) and a module of it."""
+    if not shape[5] and not _BY_LABEL[labels[0]].kind.startswith("partial"):
+        raise _invariant_broken(n, shape[0], "full support misses a minimal co-module")
+    rows = reversal_rows(n, shape[0])
     reversal = rows, module_rows(rows, (1 << n) - 1)
-    out = []
-    for label in labels:
-        check = _BY_LABEL[label]
-        out.append(check.sides(n, family, reversal))
-        if not check.kind.startswith("partial") and not family.transversal:
-            raise _invariant_broken(n, family, "full support misses a minimal co-module")
-    return out
+    return [_BY_LABEL[label].sides(n, shape, reversal) for label in labels]
 
 
 def _orbit_tasks(plan: Plan, max_n: int | None, shard=(0, 1)) -> Iterator[Task]:
     """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n, shard=shard):
-            pairs, top = family.pairs, family.mask.bit_length() - 1
+        n = spec.n
+        for node in _family_tuples(spec, max_n, shard):
+            pairs, top = node[0], node[1].bit_length() - 1
             # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
-            lead = spec.n - 1 - top - pairs[0][0]
+            lead = n - 1 - top - pairs[0][0]
             if lead == 0:
-                lead = spec.n - 1 - next(x for x, y in reversed(pairs) if y == top) - pairs[0][1]
+                lead = n - 1 - [x for x, y in pairs if y == top][-1] - pairs[0][1]
             if lead > 0:
-                yield labels, spec.n, family, True
-            elif lead == 0 and pairs <= (image := mirror_pairs(spec.n, pairs)):
-                yield labels, spec.n, family, pairs != image
+                yield labels, n, node, True
+            elif lead == 0 and pairs <= (image := mirror_pairs(n, pairs)):
+                yield labels, n, node, pairs != image
 
 
-def _check_family(task: Task) -> tuple[int, list[TheoremInstance]]:
-    """Rows checked on one mirror orbit, and instances made for the rows filed only."""
-    labels, n, family, paired = task
-    rows = zip(labels, _sides(labels, n, family))
+def _check_orbit(task: Task) -> tuple[int, list[TheoremInstance]]:
+    """Rows checked on one mirror orbit, and instances made for the rows filed
+    only: a family is built only for them, and for their mirror twin."""
+    labels, n, (pairs, mask, twice), paired = task
+    hub = twice.bit_length() - 1
+    rows = zip(labels, _sides(labels, n, _shape(n, pairs, mask, hub)))
     filed = [(label, s) for label, s in rows if s[0] != s[1] and n >= CHARACTERIZATION_MIN_N]
+    if not filed:
+        return len(labels) * (1 + paired), []
+    family = (QuasiPairing if hub >= 0 else Pairing)._from_walk(n, pairs, mask, hub)
     instances = [TheoremInstance(n, family, *s, label=label) for label, s in filed]
-    if paired and filed:
+    if paired:
         kept = tuple(label for label, _ in filed)
-        twins = _sides(kept, n, image := mirrored(family))
+        image = mirrored(family)
+        twins = _sides(kept, n, _shape(n, image.pairs, image.mask, image._hub))
         if [s[:2] for s in twins] != [s[:2] for _, s in filed]:
-            raise _invariant_broken(n, family, "its mirror image has other sides")
+            raise _invariant_broken(n, pairs, "its mirror image has other sides")
         instances += [TheoremInstance(n, image, *s, label=label) for label, s in zip(kept, twins)]
     return len(labels) * (1 + paired), instances
 
 
 def _check_shard(plan: Plan, max_n: int | None, shard) -> tuple[int, list[TheoremInstance]]:
-    """``_check_family`` summed over the mirror orbits in ``shard`` of the plan's walks."""
+    """``_check_orbit`` summed over the mirror orbits in ``shard`` of the plan's walks."""
     checked, filed = 0, []
-    for rows, instances in map(_check_family, _orbit_tasks(plan, max_n, shard)):
+    for rows, instances in map(_check_orbit, _orbit_tasks(plan, max_n, shard)):
         checked += rows
         filed += instances
     return checked, filed

@@ -148,13 +148,24 @@ def canonical_form_by_scan(t) -> str:
     )
 
 
+def walk_tuple(pairs):
+    """A family as the pair walk yields it, from vertex counts: its pairs,
+    the mask of the vertices it covers and that of those covered twice."""
+    counts = {}
+    for pair in pairs:
+        for v in pair:
+            counts[v] = counts.get(v, 0) + 1
+    twice = sum(1 << v for v, c in counts.items() if c == 2)
+    return tuple(pairs), sum(1 << v for v in counts), twice
+
+
 def unreduced_tasks(plan, max_n, shard=(0, 1)):
     """Every family of the walks' shard as a task of its own, with no
     mirror image to stand for: ``revtour.theorems._orbit_tasks`` before the
     mirror-orbit reduction, fed to the same driver."""
     for labels, spec in plan:
         for family in enumerate_families(spec, max_n, shard=shard):
-            yield labels, spec.n, family, False
+            yield labels, spec.n, walk_tuple(family.pairs), False
 
 
 def orbit_tasks_by_mirror(plan, max_n, shard=(0, 1)):
@@ -166,7 +177,7 @@ def orbit_tasks_by_mirror(plan, max_n, shard=(0, 1)):
         for family in enumerate_families(spec, max_n, shard=shard):
             image = mirror_pairs(spec.n, family.pairs)
             if family.pairs <= image:
-                yield labels, spec.n, family, family.pairs != image
+                yield labels, spec.n, walk_tuple(family.pairs), family.pairs != image
 
 
 def _hub_and_partners(pairs):

@@ -250,9 +250,9 @@ class TestVerify:
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_pool == []
         orbits = []
-        real = revtour.theorems._check_family
+        real = revtour.theorems._check_orbit
         monkeypatch.setattr(
-            "revtour.theorems._check_family", lambda task: orbits.append(task) or real(task)
+            "revtour.theorems._check_orbit", lambda task: orbits.append(task) or real(task)
         )
         _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
         # One pool for the whole run, fed one task per worker: its shard of

@@ -174,6 +174,19 @@ class TestShards:
         sizes = [sum(1 for _ in enumerate_families(spec, shard=(i, 4))) for i in range(4)]
         assert sum(sizes) == 19152 and min(sizes) > 19152 // 5
 
+    # Regression pin: the per-shard sizes of the pruned walks, as dealt when
+    # a pruned node takes no ordinal.  Any dealing partitions the stream, so
+    # only these sizes show a change in the pool's balance.
+    @pytest.mark.parametrize("spec, sizes", [
+        (EnumSpec(12, "pairing", "irreducible-only"), {2: [1398, 1432], 3: [938, 938, 954]}),
+        (EnumSpec(9, "partial-quasi", "irreducible-only"),
+         {2: [4025, 4048], 3: [2563, 2708, 2802]}),
+    ])
+    def test_pruned_shard_sizes(self, spec, sizes):
+        for k, pinned in sizes.items():
+            got = [sum(1 for _ in enumerate_families(spec, shard=(i, k))) for i in range(k)]
+            assert got == pinned, k
+
     @pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0), (2, 2)])
     def test_bad_shard(self, shard):
         with pytest.raises(ValueError, match="0 <= i < k"):

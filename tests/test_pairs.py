@@ -1,6 +1,7 @@
 """Pair families, classification, anatomy, and irreducibility."""
 
 import pickle
+from functools import cached_property
 
 import pytest
 
@@ -21,8 +22,6 @@ from revtour import (
     partner,
     support,
 )
-
-from revtour.pairs import _cached
 
 from oracles import (
     all_set_partitions,
@@ -150,29 +149,15 @@ class TestAnatomy:
 
 
 class TestCachedSlot:
-    def test_getter_runs_once_per_instance(self):
-        calls = []
-
-        class Box:
-            @_cached
-            def value(self):
-                """A fresh object per box."""
-                calls.append(self)
-                return object()
-
-        first, second = Box(), Box()
-        assert first.value is first.value and second.value is not first.value
-        assert calls == [first, second]
-        assert vars(first) == {"value": first.value}
-        assert isinstance(Box.value, _cached) and Box.value.__doc__ == "A fresh object per box."
-
     def test_family_slots_land_in_the_instance_dict(self):
         fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
         # The constructor stores the support mask and the hub from the walk's fold.
         assert vars(fam) == {"n": 5, "pairs": fam.pairs, "mask": 0b11111, "_hub": 2}
         shape, transversal = anatomy(fam), fam.transversal
         assert vars(fam)["_anatomy"] is shape and vars(fam)["transversal"] is transversal
-        slots = {name for name, value in vars(PairFamily).items() if isinstance(value, _cached)}
+        slots = {
+            name for name, value in vars(PairFamily).items() if isinstance(value, cached_property)
+        }
         assert slots == {"transversal", "_anatomy"}
 
     def test_walk_built_family_survives_pickling(self):

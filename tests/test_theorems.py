@@ -40,7 +40,8 @@ from revtour.pairs import mirror_pairs
 from revtour.theorems import (
     CHECKS,
     TheoremInstance,
-    _check_family,
+    _check_orbit,
+    _family_shape,
     _orbit_tasks,
     _reduced_c4,
     _theorem3_conditions,
@@ -52,6 +53,7 @@ from oracles import (
     reduced_c4_by_sets,
     theorem3_conditions_by_sets,
     unreduced_tasks,
+    walk_tuple,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,7 +142,8 @@ class TestTheorem3ConditionOracle:
         seen = 0
         for n in range(3, 10):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                assert _theorem3_conditions(n, family)[:4] == theorem3_conditions_by_sets(
+                shape = _family_shape("theorem3", n, family)
+                assert _theorem3_conditions(n, shape)[:4] == theorem3_conditions_by_sets(
                     n, family.pairs
                 ), family
                 seen += 1
@@ -149,7 +152,7 @@ class TestTheorem3ConditionOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            *conditions, adjacent = _theorem3_conditions(n, family)
+            *conditions, adjacent = _theorem3_conditions(n, _family_shape("corollary3", n, family))
             assert (*conditions, _reduced_c4(n, anatomy(family).hub, adjacent)) == (
                 *theorem3_conditions_by_sets(n, family.pairs),
                 reduced_c4_by_sets(n, family.pairs),
@@ -258,11 +261,11 @@ class TestVerifyRange:
         agreeing = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
         one_way = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
         # The last member flags a mirror image other than the family: both count.
-        assert _check_family((("theorem2",), 5, agreeing, True)) == (2, [])
-        assert _check_family((("corollary3", "corollary2"), 7, QuasiPairing(
-            7, [(0, 2), (2, 4), (1, 5), (3, 6)]), True)) == (4, [])
+        assert _check_orbit((("theorem2",), 5, walk_tuple(agreeing.pairs), True)) == (2, [])
+        assert _check_orbit((("corollary3", "corollary2"), 7, walk_tuple(
+            [(0, 2), (2, 4), (1, 5), (3, 6)]), True)) == (4, [])
         # This family is its own mirror image, so it is checked and filed once.
-        checked, filed = _check_family((("theorem2",), 5, one_way, False))
+        checked, filed = _check_orbit((("theorem2",), 5, walk_tuple(one_way.pairs), False))
         assert checked == 1
         assert [i.to_record() for i in filed] == [
             check_instance("theorem2", 5, one_way).to_record()
@@ -270,17 +273,17 @@ class TestVerifyRange:
         # Below the hypothesis, lhs != rhs is tagged but never filed.
         below = Pairing(4, [(0, 2), (1, 3)])
         assert check_instance("theorem1", 4, below).lhs is False
-        assert _check_family((("theorem1",), 4, below, False)) == (1, [])
+        assert _check_orbit((("theorem1",), 4, walk_tuple(below.pairs), False)) == (1, [])
 
     def test_transversal_runs_once_per_family(self, monkeypatch):
         calls = []
-        real = revtour.pairs.is_order_transversal
+        real = revtour.theorems.is_order_transversal
 
         def counting(n, mask):
             calls.append(n)
             return real(n, mask)
 
-        monkeypatch.setattr("revtour.pairs.is_order_transversal", counting)
+        monkeypatch.setattr("revtour.theorems.is_order_transversal", counting)
         report = verify_range("corollaries", 7, 7)
         # Corollaries 3 and 2 each check the 315 quasi-pairings of 7 points,
         # which form 162 mirror orbits; one family per orbit is tested.
@@ -310,13 +313,13 @@ class TestVerifyRange:
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
-        real = revtour.theorems.enumerate_families
+        real = revtour.theorems._family_tuples
 
         def counting(spec, max_n=None, shard=(0, 1)):
             enumerated.append((spec.n, spec.kind))
-            return real(spec, max_n=max_n, shard=shard)
+            return real(spec, max_n, shard)
 
-        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
+        monkeypatch.setattr("revtour.theorems._family_tuples", counting)
         report = verify_range("corollaries", 6, 7)
         # Corollary 1 at n = 6; corollaries 3 and 2 both take the 315 quasi-pairings at n = 7.
         assert enumerated == [(6, "pairing"), (7, "quasi")]
@@ -327,8 +330,8 @@ class TestVerifyRange:
         # their violations arrive interleaved; make every one a violation.
         patch_sides(
             monkeypatch,
-            corollary3=lambda n, family, reversal: (True, False, {}),
-            corollary2=lambda n, family, reversal: (False, True, {}),
+            corollary3=lambda n, shape, reversal: (True, False, {}),
+            corollary2=lambda n, shape, reversal: (False, True, {}),
         )
         serial = verify_range("corollaries", 5, 7)
         pooled = verify_range("corollaries", 5, 7, jobs=2)
@@ -350,26 +353,26 @@ class TestVerifyRange:
         (False, True, "violations"),
     ])
     def test_one_way_row_records_only_lhs_without_rhs(self, monkeypatch, lhs, rhs, filed):
-        patch_sides(monkeypatch, theorem2=lambda n, family, reversal: (lhs, rhs, {}))
+        patch_sides(monkeypatch, theorem2=lambda n, shape, reversal: (lhs, rhs, {}))
         report = verify_range(2, 5, 5)
         assert report.checked == 60 and len(getattr(report, filed)) == 60
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_pool, jobs):
         events = []
-        real_enumerate = revtour.theorems.enumerate_families
+        real_walk = revtour.theorems._family_tuples
         real_rows = revtour.theorems.reversal_rows
 
         def enumerating(spec, max_n=None, shard=(0, 1)):
-            for family in real_enumerate(spec, max_n=max_n, shard=shard):
+            for node in real_walk(spec, max_n, shard):
                 events.append("family")
-                yield family
+                yield node
 
         def checking(n, pairs):
             events.append("check")
             return real_rows(n, pairs)
 
-        monkeypatch.setattr("revtour.theorems.enumerate_families", enumerating)
+        monkeypatch.setattr("revtour.theorems._family_tuples", enumerating)
         monkeypatch.setattr("revtour.theorems.reversal_rows", checking)
         report = verify_range(3, 6, 6, jobs=jobs)
         assert report.checked == 240
@@ -379,11 +382,11 @@ class TestVerifyRange:
     def test_guard_fails_before_any_work(self, monkeypatch, fake_pool):
         enumerated = []
 
-        def counting(spec, max_n=None):
+        def counting(spec, max_n=None, shard=(0, 1)):
             enumerated.append(spec.n)
             return iter(())
 
-        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
+        monkeypatch.setattr("revtour.theorems._family_tuples", counting)
         with pytest.raises(GuardError, match="n <= 12, got 13"):
             verify_range(3, 12, 13, jobs=2)
         assert enumerated == [] and fake_pool == []
@@ -436,8 +439,8 @@ class TestMirrorOrbits:
     def test_same_report_with_a_planted_bug(self, monkeypatch, fake_pool):
         real = revtour.theorems._theorem3_conditions
 
-        def flipped_c2(n, family):
-            c1, c2, c3, c4, adjacent = real(n, family)
+        def flipped_c2(n, shape):
+            c1, c2, c3, c4, adjacent = real(n, shape)
             return c1, not c2, c3, c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c2)
@@ -489,6 +492,36 @@ class TestFiledOnlyInstances:
         report = verify_range(2, 5, 5)
         filed = report.violations + report.recorded
         assert filed and sorted(map(id, made)) == sorted(map(id, filed))
+
+    @staticmethod
+    def count_families(monkeypatch):
+        made = []
+        build, post_init = PairFamily._from_walk.__func__, PairFamily.__post_init__
+
+        def from_walk(cls, *args):
+            made.append(build(cls, *args))
+            return made[-1]
+
+        def counted_post_init(family):
+            post_init(family)
+            made.append(family)
+
+        monkeypatch.setattr(PairFamily, "_from_walk", classmethod(from_walk))
+        monkeypatch.setattr(PairFamily, "__post_init__", counted_post_init)
+        return made
+
+    def test_no_family_where_none_is_filed(self, monkeypatch):
+        made = self.count_families(monkeypatch)
+        report = verify_range(3, 9, 9)
+        assert report.checked == 19152 and report.passed and made == []
+
+    def test_one_family_per_filed_row(self, monkeypatch):
+        # A filed row's family, or its mirror twin, each built once.
+        made = self.count_families(monkeypatch)
+        report = verify_range(2, 5, 5)
+        filed = report.violations + report.recorded
+        twins = [i for i in filed if mirror_pairs(5, i.family.pairs) != i.family.pairs]
+        assert twins and sorted(map(id, made)) == sorted(id(i.family) for i in filed)
 
     def test_check_instance_makes_an_unfiled_row(self):
         inst = check_instance("theorem3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
@@ -588,10 +621,29 @@ class TestSizeMismatch:
             entry(5, family)
 
 
-def not_mirror_invariant(n, family, reversal):
+class TestRowKind:
+    """``check_instance`` takes only a family of its row's kind."""
+
+    @pytest.mark.parametrize("label, n, family, kind", [
+        # Support {0, 2, 4} is order-transversal but not full.
+        ("corollary3", 5, QuasiPairing(5, [(0, 2), (2, 4)]), "quasi"),
+        ("corollary1", 6, Pairing(6, [(0, 2), (1, 4)]), "pairing"),
+        ("theorem3", 5, Pairing(5, [(0, 2), (1, 4)]), "partial-quasi"),
+        ("theorem1", 5, QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]), "partial-pairing"),
+    ])
+    def test_wrong_kind(self, label, n, family, kind):
+        with pytest.raises(ValueError, match=f"{label} takes a family of kind '{kind}'"):
+            check_instance(label, n, family)
+
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown row 'theorem4'.*'corollary2'"):
+            check_instance("theorem4", 5, Pairing(5, [(0, 2), (1, 4)]))
+
+
+def not_mirror_invariant(n, shape, reversal):
     # The two sides differ on the family that the walk meets first in a
     # mirror orbit, and agree on its image.
-    return True, family.pairs > mirror_pairs(n, family.pairs), {}
+    return True, shape[0] > mirror_pairs(n, shape[0]), {}
 
 
 def optimized_stdout(child):
@@ -616,17 +668,19 @@ class TestInvariants:
 
             __hash__ = int.__hash__
 
-        real = revtour.theorems.anatomy
-        monkeypatch.setattr(
-            "revtour.theorems.anatomy",
-            lambda family: real(family)._replace(hub=EveryVertex(real(family).hub)),
-        )
+        real = revtour.theorems._shape
+
+        def every_vertex_hub(*args):
+            pairs, mask, hub, *rest = real(*args)
+            return pairs, mask, EveryVertex(hub), *rest
+
+        monkeypatch.setattr("revtour.theorems._shape", every_vertex_hub)
         family = QuasiPairing(5, [(0, 2), (2, 3), (1, 4)])
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,1-4,2-3'.*endpoint"):
             theorem3_conditions(5, family)
 
     def test_full_support_meets_every_comodule(self, monkeypatch):
-        monkeypatch.setattr(PairFamily, "transversal", property(lambda family: False))
+        monkeypatch.setattr("revtour.theorems.is_order_transversal", lambda n, mask: False)
         for label, n, family in (
             ("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)])),
             ("corollary2", 7, QuasiPairing(7, [(0, 2), (2, 4), (1, 5), (3, 6)])),
@@ -640,8 +694,8 @@ class TestInvariants:
     def test_corollary3_reduced_c4_agrees(self, monkeypatch):
         real = revtour.theorems._theorem3_conditions
 
-        def flipped_c4(n, family):
-            c1, c2, c3, c4, adjacent = real(n, family)
+        def flipped_c4(n, shape):
+            c1, c2, c3, c4, adjacent = real(n, shape)
             return c1, c2, c3, not c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c4)
@@ -657,8 +711,8 @@ class TestInvariants:
         out = optimized_stdout("""
             import sys
             import revtour.theorems as theorems
-            from revtour import PairFamily, Pairing
-            PairFamily.transversal = property(lambda family: False)
+            from revtour import Pairing
+            theorems.is_order_transversal = lambda n, mask: False
             try:
                 theorems.check_instance("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)]))
             except RuntimeError as exc:
@@ -673,8 +727,8 @@ class TestInvariants:
             import revtour.theorems as theorems
             from revtour.pairs import mirror_pairs
 
-            def not_mirror_invariant(n, family, reversal):
-                return True, family.pairs > mirror_pairs(n, family.pairs), {}
+            def not_mirror_invariant(n, shape, reversal):
+                return True, shape[0] > mirror_pairs(n, shape[0]), {}
 
             theorems.CHECKS = tuple(replace(c, sides=not_mirror_invariant) for c in theorems.CHECKS)
             theorems._BY_LABEL = {c.label: c for c in theorems.CHECKS}
