@@ -96,8 +96,11 @@ class Tournament:
             raise ValueError(f"arc row must be {m} characters over 01, got {row!r}")
         if any(line.strip() for line in lines[2:]):
             raise ValueError("only blank lines may follow the arc row")
-        # Character k is bit k, so the reversed row is the binary numeral.
-        return cls(n, int(row[::-1], 2) if row else 0)
+        bits = 0
+        for k, ch in enumerate(row):
+            if ch == "1":
+                bits |= 1 << k
+        return cls(n, bits)
 
     def to_dot(self) -> str:
         lines = ["digraph tournament {"]

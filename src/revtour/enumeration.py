@@ -9,7 +9,8 @@ so k shards partition the stream; shard (0, 1) is the whole stream.
 
 Under filter ``irreducible-only`` the walk keeps only the irreducible
 families, by their cuts (``pairs._cuts``).  ``enumerate_families`` builds
-a family from each tuple of ``_family_tuples``; the checker reads them bare.
+a family from each tuple of ``_family_tuples``; ``theorems`` reads the
+tuples without building any.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .pairs import (
     Pairing,
     QuasiPairing,
     _cuts,
+    _invariant_broken,
     _partners,
     is_irreducible_pairing,
     is_irreducible_quasi,
@@ -232,10 +234,8 @@ def census(spec: EnumSpec, max_n: int | None = None) -> Iterator[CensusRecord]:
     for family in enumerate_families(spec, max_n=max_n):
         t = Tournament(spec.n, base.bits ^ _pair_bits(spec.n, family.pairs))
         if t.bits in seen:
-            raise RuntimeError(
-                f"invariant broken at n={spec.n}, pairs {family.serialize()!r}: "
-                "reversing distinct families gave the same tournament"
-            )
+            what = "reversing distinct families gave the same tournament"
+            raise _invariant_broken(spec.n, family.pairs, what)
         seen.add(t.bits)
         indecomposable = is_indecomposable_rows(reversal_rows(spec.n, family.pairs), ground)
         class_id = None

@@ -30,6 +30,14 @@ def _partners(pairs: Iterable[tuple[int, int]], hub: int) -> tuple[int, int]:
     return low, high
 
 
+def _serialize(pairs: Iterable[tuple[int, int]]) -> str:
+    return ",".join(f"{x}-{y}" for x, y in pairs)
+
+
+def _invariant_broken(n: int, pairs: Iterable[tuple[int, int]], what: str) -> RuntimeError:
+    return RuntimeError(f"invariant broken at n={n}, pairs {_serialize(pairs)!r}: {what}")
+
+
 def _normalize(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     if n < 0:
         raise ValueError(f"ambient size must be nonnegative, got {n}")
@@ -92,7 +100,7 @@ class PairFamily:
         family = object.__new__(cls)
         family.__dict__.update(n=n, pairs=pairs, mask=mask, _hub=hub)
         if error := family._size_error():
-            raise RuntimeError(f"invariant broken at n={n}, pairs {family.serialize()!r}: {error}")
+            raise _invariant_broken(n, pairs, error)
         return family
 
     def _size_error(self) -> str | None:
@@ -134,7 +142,7 @@ class PairFamily:
         return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
 
     def serialize(self) -> str:
-        return ",".join(f"{x}-{y}" for x, y in self.pairs)
+        return _serialize(self.pairs)
 
     @classmethod
     def parse(cls, n: int, text: str) -> "PairFamily":

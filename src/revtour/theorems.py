@@ -54,11 +54,15 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
-from .enumeration import EnumSpec, _family_tuples, check_guard
+from .enumeration import EnumSpec, check_guard
+# The walk's (pairs, mask, twice) tuples, bound to the name under which
+# perfbench/spans.py traces the enumeration layer of this module.
+from .enumeration import _family_tuples as enumerate_families
 from .pairs import (
     PairFamily,
     Pairing,
     QuasiPairing,
+    _invariant_broken,
     _irreducible,
     _partners,
     _same_size,
@@ -96,9 +100,15 @@ class TheoremInstance:
     label: str = ""
 
     def to_record(self) -> dict:
-        return {"n": self.n, "pairs": self.family.serialize(), "lhs": self.lhs, "rhs": self.rhs,
-                "details": dict(self.details), "in_hypothesis": self.in_hypothesis,
-                "label": self.label}
+        return {
+            "n": self.n,
+            "pairs": self.family.serialize(),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "details": dict(self.details),
+            "in_hypothesis": self.in_hypothesis,
+            "label": self.label,
+        }
 
 
 @dataclass
@@ -118,10 +128,14 @@ class VerificationReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {"theorem": self.theorem, "n_range": [self.n_min, self.n_max],
-                "checked": self.checked,
-                "violations": [inst.to_record() for inst in self.violations],
-                "recorded": [inst.to_record() for inst in self.recorded], "ms": round(self.ms, 3)}
+        return {
+            "theorem": self.theorem,
+            "n_range": [self.n_min, self.n_max],
+            "checked": self.checked,
+            "violations": [inst.to_record() for inst in self.violations],
+            "recorded": [inst.to_record() for inst in self.recorded],
+            "ms": round(self.ms, 3),
+        }
 
 
 def _warn_outside_hypothesis(n: int) -> None:
@@ -131,11 +145,6 @@ def _warn_outside_hypothesis(n: int) -> None:
             f"n={n} is computed but outside the hypothesis",
             stacklevel=3,
         )
-
-
-def _invariant_broken(n: int, pairs: tuple, what: str) -> RuntimeError:
-    text = ",".join(f"{x}-{y}" for x, y in pairs)
-    return RuntimeError(f"invariant broken at n={n}, pairs {text!r}: {what}")
 
 
 def _shape(n: int, pairs: tuple, mask: int, hub: int) -> Shape:
@@ -184,10 +193,12 @@ def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
-    """The four conditions (C1)-(C4) for a partial quasi-pairing.  (C3) and
-    (C4) quantify v over all vertices, but only pairs {x, x+2} and {x, x+1}
-    can meet their antecedents, so each is a test on the bit mask of such
-    pairs' least ends."""
+    """The four conditions (C1)-(C4) for a partial quasi-pairing.
+
+    (C3) and (C4) quantify v over all vertices, but only pairs
+    {x, x+2} and {x, x+1} can meet their antecedents, so each is a test
+    on the bit mask of such pairs' least ends.
+    """
     _warn_outside_hypothesis(n)
     return _theorem3_conditions(n, _family_shape("theorem3", n, family))[:4]
 
@@ -215,10 +226,11 @@ def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, bool, 
 
 
 def _theorem3_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
+    pairs, mask, hub, *_ = shape
     c1, c2, c3, c4, adjacent = _theorem3_conditions(n, shape)
     # On full support corollary 3's reduced (C4) must agree with (C4).
-    if shape[1] == (1 << n) - 1 and _reduced_c4(n, shape[2], adjacent) != c4:
-        raise _invariant_broken(n, shape[0], "the reduced (C4) disagrees with (C4)")
+    if mask == (1 << n) - 1 and _reduced_c4(n, hub, adjacent) != c4:
+        raise _invariant_broken(n, pairs, "the reduced (C4) disagrees with (C4)")
     return not reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
@@ -298,9 +310,10 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
 
 def _sides(labels: tuple[str, ...], n: int, shape: Shape) -> list[Sides]:
     """The sides of the named rows, all of one kind, which share T(n, F) and a module of it."""
-    if not shape[5] and not _BY_LABEL[labels[0]].kind.startswith("partial"):
-        raise _invariant_broken(n, shape[0], "full support misses a minimal co-module")
-    rows = reversal_rows(n, shape[0])
+    pairs, *_, transversal = shape
+    if not transversal and not _BY_LABEL[labels[0]].kind.startswith("partial"):
+        raise _invariant_broken(n, pairs, "full support misses a minimal co-module")
+    rows = reversal_rows(n, pairs)
     reversal = rows, module_rows(rows, (1 << n) - 1)
     return [_BY_LABEL[label].sides(n, shape, reversal) for label in labels]
 
@@ -309,7 +322,7 @@ def _orbit_tasks(plan: Plan, max_n: int | None, shard=(0, 1)) -> Iterator[Task]:
     """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
     for labels, spec in plan:
         n = spec.n
-        for node in _family_tuples(spec, max_n, shard):
+        for node in enumerate_families(spec, max_n, shard):
             pairs, top = node[0], node[1].bit_length() - 1
             # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
             lead = n - 1 - top - pairs[0][0]

@@ -313,13 +313,13 @@ class TestVerifyRange:
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
-        real = revtour.theorems._family_tuples
+        real = revtour.theorems.enumerate_families
 
         def counting(spec, max_n=None, shard=(0, 1)):
             enumerated.append((spec.n, spec.kind))
             return real(spec, max_n, shard)
 
-        monkeypatch.setattr("revtour.theorems._family_tuples", counting)
+        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         report = verify_range("corollaries", 6, 7)
         # Corollary 1 at n = 6; corollaries 3 and 2 both take the 315 quasi-pairings at n = 7.
         assert enumerated == [(6, "pairing"), (7, "quasi")]
@@ -360,7 +360,7 @@ class TestVerifyRange:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_pool, jobs):
         events = []
-        real_walk = revtour.theorems._family_tuples
+        real_walk = revtour.theorems.enumerate_families
         real_rows = revtour.theorems.reversal_rows
 
         def enumerating(spec, max_n=None, shard=(0, 1)):
@@ -372,7 +372,7 @@ class TestVerifyRange:
             events.append("check")
             return real_rows(n, pairs)
 
-        monkeypatch.setattr("revtour.theorems._family_tuples", enumerating)
+        monkeypatch.setattr("revtour.theorems.enumerate_families", enumerating)
         monkeypatch.setattr("revtour.theorems.reversal_rows", checking)
         report = verify_range(3, 6, 6, jobs=jobs)
         assert report.checked == 240
@@ -386,7 +386,7 @@ class TestVerifyRange:
             enumerated.append(spec.n)
             return iter(())
 
-        monkeypatch.setattr("revtour.theorems._family_tuples", counting)
+        monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         with pytest.raises(GuardError, match="n <= 12, got 13"):
             verify_range(3, 12, 13, jobs=2)
         assert enumerated == [] and fake_pool == []
