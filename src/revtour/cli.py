@@ -87,6 +87,13 @@ def _add_guard_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _refuse_unread(args: argparse.Namespace, *options: str) -> None:
+    """An option given to a ``what`` that does not read it is an input error."""
+    for option in options:
+        if getattr(args, option) is not None:
+            raise _InputError(f"{args.verb} {args.what} does not read --{option}")
+
+
 def _read_tournament() -> Tournament:
     return Tournament.from_text(sys.stdin.read())
 
@@ -94,20 +101,25 @@ def _read_tournament() -> Tournament:
 def _cmd_gen(args: argparse.Namespace) -> int:
     t = transitive(args.n)
     if args.what == "inv":
-        t = reverse_pairs(t, PairFamily.parse(args.n, args.pairs))
+        t = reverse_pairs(t, PairFamily.parse(args.n, args.pairs or ""))
+    else:
+        _refuse_unread(args, "pairs")
     sys.stdout.write(t.to_text())
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.what == "indecomposable":
+        _refuse_unread(args, "set", "n", "pairs")
         verdict = {"indecomposable": is_indecomposable(_read_tournament())}
     elif args.what == "module":
+        _refuse_unread(args, "n", "pairs")
         if args.set is None:
             raise _InputError("check module needs --set \"{a,b,...}\"")
         t = _read_tournament()
         verdict = {"module": is_module(t, _parse_vertex_set(args.set))}
     else:
+        _refuse_unread(args, "set")
         if args.n is None or args.pairs is None:
             raise _InputError("check irreducible needs --n and --pairs")
         family = PairFamily.parse(args.n, args.pairs)
@@ -187,7 +199,7 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="emit a tournament in text format")
     gen.add_argument("what", choices=["transitive", "inv"])
     gen.add_argument("n", type=_digits)
-    gen.add_argument("--pairs", default="", help='pairs to reverse, e.g. "0-2,1-4"')
+    gen.add_argument("--pairs", default=None, help='pairs to reverse, e.g. "0-2,1-4"')
     gen.set_defaults(func=_cmd_gen)
 
     check = sub.add_parser("check", help="emit a JSON verdict")

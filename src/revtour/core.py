@@ -14,7 +14,6 @@ with i < j, character '1' meaning the arc i -> j is present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import _normalize
@@ -269,37 +268,14 @@ def module_closure(t: Tournament, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(_mask_vertices(_closure_mask(_out_rows(t), (1 << t.n) - 1, mask)))
 
 
-@lru_cache(maxsize=1024)
-def _ground_vertices(ground: int) -> tuple[int, ...]:
-    """The vertices of a ground mask in increasing order, kept for the grounds met last."""
-    return tuple(_mask_vertices(ground))
-
-
-def module_rows(rows: list[int], ground: int) -> int:
-    """A nontrivial module of the subtournament on the vertex mask
-    ``ground``, as a vertex mask, or 0 when it has only trivial modules.
-
-    A screen first: two ground-consecutive vertices that no other one
-    tells apart are a module, as most small modules of a reversed order
-    are.  Then, for v the least ground vertex, the rest of the ground is
-    split by v's out-row and by every out-row, until none splits a part
-    without its vertex.  No module avoiding v is split, and each final
-    part is a module, both as every vertex outside treats it alike; so a
-    part of two vertices or more is a nontrivial module, and otherwise
-    any nontrivial module holds v, some u and the closure of {v, u}.  For
-    w the ground vertex after v, the module {v, w} fails the screen, and
-    a larger one holds a third vertex u; so the closures of {v, u} for
-    the n - 2 vertices u past w must each be the whole ground.  The
-    module found first is returned.
-    """
-    vertices = _ground_vertices(ground)
-    if len(vertices) < 3:
-        return 0
-    for x, y in zip(vertices, vertices[1:]):
-        if not (rows[x] ^ rows[y]) & ground & ~(1 << x | 1 << y):
-            return 1 << x | 1 << y
-    # v's row comes first.  One-vertex parts are dropped; a split re-queues its part.
-    parts, pending = [ground & ground - 1], ground
+def _refined_part(rows: list[int], ground: int, pivot: int) -> int:
+    """A nontrivial module of the ground that avoids the vertex bit
+    ``pivot``, or 0 when none does.  The ground less the pivot is split by
+    the ground's out-rows until no row splits a part without its vertex.
+    No module avoiding the pivot is ever split, and each final part is a
+    module, so the first part of two vertices or more is one."""
+    # One-vertex parts are dropped; a split re-queues its part.
+    parts, pending = [ground ^ pivot], ground
     while parts and pending:
         low = pending & -pending
         pending ^= low
@@ -313,9 +289,32 @@ def module_rows(rows: list[int], ground: int) -> int:
                 pending |= part
                 split += [p for p in (out, part ^ out) if p & p - 1]
         parts = split
-    v = 1 << vertices[0]
-    closures = (_closure_mask(rows, ground, v | 1 << u) for u in vertices[2:])
-    return parts[0] if parts else next((c for c in closures if c != ground), 0)
+    return parts[0] if parts else 0
+
+
+def module_rows(rows: list[int], ground: int) -> int:
+    """A nontrivial module of the subtournament on the vertex mask
+    ``ground``, as a vertex mask, or 0 when it has only trivial modules.
+
+    For v < w the two least ground vertices, a nontrivial module holds
+    both, and so their closure, or it avoids v or w, and the refinement
+    from that vertex finds one.  A screen comes first, as a shortcut: two
+    ground-consecutive vertices that no other one tells apart are a module.
+    """
+    if ground.bit_count() < 3:
+        return 0
+    v = ground & -ground
+    w = (ground ^ v) & -(ground ^ v)
+    x, rest = v, ground ^ v
+    while rest:
+        y = rest & -rest
+        if not (rows[x.bit_length() - 1] ^ rows[y.bit_length() - 1]) & ground & ~(x | y):
+            return x | y
+        x, rest = y, rest ^ y
+    closure = _closure_mask(rows, ground, v | w)
+    if closure != ground:
+        return closure
+    return _refined_part(rows, ground, v) or _refined_part(rows, ground, w)
 
 
 def is_indecomposable_rows(rows: list[int], ground: int) -> bool:

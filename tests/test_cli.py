@@ -125,6 +125,20 @@ def test_numbers_are_ascii_digits_only(capsys, monkeypatch, argv):
     assert status == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["gen", "transitive", "3", "--pairs", "0-1"], "--pairs"),
+    (["check", "indecomposable", "--set", "{1}"], "--set"),
+    (["check", "indecomposable", "--n", "3"], "--n"),
+    (["check", "indecomposable", "--pairs", "0-1"], "--pairs"),
+    (["check", "module", "--set", "{1}", "--n", "3"], "--n"),
+    (["check", "module", "--set", "{1}", "--pairs", "0-1"], "--pairs"),
+    (["check", "irreducible", "--n", "3", "--pairs", "0-1", "--set", "{1}"], "--set"),
+])
+def test_an_option_the_what_does_not_read_is_an_input_error(capsys, monkeypatch, argv, option):
+    status, out, err = run(capsys, monkeypatch, argv, stdin="3\n111\n")
+    assert status == 1 and out == "" and f"{argv[0]} {argv[1]} does not read {option}" in err
+
+
 class TestEnumerate:
     def test_lines(self, capsys, monkeypatch):
         status, out, _ = run(

@@ -1,5 +1,6 @@
 """Tournament construction, modules, indecomposability, isomorphism."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from revtour.core import (
     _is_module_mask,
     _mask_vertices,
     _out_rows,
+    _refined_part,
     is_indecomposable_rows,
     module_rows,
     reversal_rows,
@@ -247,35 +249,50 @@ class TestRowPath:
 
 
 class TestFixedVertex:
-    """The screen, the refinement from the least ground vertex v, and the
-    closures of {v, u}, each on a case that only it decides."""
+    """For v < w the two least ground vertices, one case per search of
+    ``module_rows``: the closure of {v, w}, and the refinement from v and
+    from w each find the one nontrivial module of a case that no other
+    search finds.  The screen is never the only search that finds a module:
+    its pair avoids v, or avoids w, or is {v, w}."""
+
+    GROUND = 0b1111
 
     @staticmethod
-    def nontrivial(t):
-        return [m for m in all_modules_bruteforce(t) if 2 <= len(m) < t.n]
+    def only_module(pairs):
+        t = reverse_pairs(transitive(4), pairs)
+        nontrivial = [m for m in all_modules_bruteforce(t) if 2 <= len(m) < t.n]
+        assert len(nontrivial) == 1
+        # No two consecutive vertices form it, so the screen passes.
+        assert not any(_is_module_mask(_out_rows(t), 4, 0b11 << x) for x in range(3))
+        return sum(1 << u for u in nontrivial[0])
 
-    def test_only_the_refinement_finds_a_module_avoiding_v(self):
-        # {2, 4} avoids 0 and has no consecutive members: no pair passes the
-        # screen's test, and every closure of {0, u} is everything.
-        t = reverse_pairs(transitive(6), [(0, 3), (1, 5), (2, 3)])
-        rows = _out_rows(t)
-        assert self.nontrivial(t) == [frozenset({2, 4})]
-        assert all(_closure_mask(rows, 0b111111, 1 | 1 << u) == 0b111111 for u in range(1, 6))
-        assert not is_indecomposable_rows(rows, 0b111111)
+    def searches(self, pairs):
+        rows = reversal_rows(4, pairs)
+        return (
+            _closure_mask(rows, self.GROUND, 0b0011),
+            _refined_part(rows, self.GROUND, 0b0001),
+            _refined_part(rows, self.GROUND, 0b0010),
+        )
 
     def test_only_a_closure_finds_a_module_holding_v(self):
-        # {0, 3} holds 0 and has no consecutive members: only the closure of
-        # {0, 3} stops short of everything.
-        t = reverse_pairs(transitive(6), [(0, 2), (1, 3), (2, 5)])
-        rows = _out_rows(t)
-        assert self.nontrivial(t) == [frozenset({0, 3})]
-        assert [_closure_mask(rows, 0b111111, 1 | 1 << u) for u in range(1, 6)] == [
-            0b111111, 0b111111, 0b001001, 0b111111, 0b111111
-        ]
-        assert not is_indecomposable_rows(rows, 0b111111)
+        # {0, 1, 2} holds v and w, so both refinements pass it by.
+        assert self.only_module([(0, 2)]) == 0b0111
+        assert self.searches([(0, 2)]) == (0b0111, 0, 0)
+
+    def test_only_the_refinement_finds_a_module_avoiding_v(self):
+        # {1, 2, 3} holds w, so the closure is everything and only the
+        # refinement from v finds it.
+        assert self.only_module([(1, 3)]) == 0b1110
+        assert self.searches([(1, 3)]) == (self.GROUND, 0b1110, 0)
+
+    def test_only_the_refinement_from_w_finds_a_module_avoiding_w(self):
+        # {0, 3} holds v but not w.
+        assert self.only_module([(0, 2), (1, 3)]) == 0b1001
+        assert self.searches([(0, 2), (1, 3)]) == (self.GROUND, 0, 0b1001)
 
     def test_screen_reads_only_the_twin_rows(self):
-        # 0 and 1 are consecutive twins, so the screen stops at their rows.
+        # 0 and 1 are consecutive twins, so the screen stops at their rows;
+        # they are v and w, so the closure of {v, w} would find them too.
         read = set()
 
         class Rows(list):
@@ -286,19 +303,7 @@ class TestFixedVertex:
         rows = Rows(reversal_rows(6, [(2, 5), (3, 4)]))
         assert not is_indecomposable_rows(rows, 0b111111)
         assert read == {0, 1}
-
-    def test_every_reversal_and_deletion_to_eight_points(self):
-        # The exhaustive ground-mask test above stops at 4 vertices; every
-        # reversed order to 8 points, whole and less one vertex, is checked
-        # here against the all-pairs test.
-        for n in range(3, 9):
-            whole = (1 << n) - 1
-            for kind in ("partial-pairing", "partial-quasi"):
-                for family in enumerate_families(EnumSpec(n, kind)):
-                    rows = reversal_rows(n, family.pairs)
-                    for ground in (whole, *(whole ^ 1 << v for v in range(n))):
-                        want = indecomposable_by_pairs(rows, ground)
-                        assert is_indecomposable_rows(rows, ground) == want, (family, ground)
+        assert _closure_mask(rows, 0b111111, 0b000011) == 0b000011
 
 
 class TestModuleRows:
@@ -306,6 +311,9 @@ class TestModuleRows:
     subscan finds only trivial ones."""
 
     def test_every_reversal_and_deletion_to_eight_points(self):
+        # The exhaustive ground-mask test above stops at 4 vertices; every
+        # reversed order to 8 points, whole and less one vertex, is checked
+        # here against the all-pairs test and the subset scan.
         only_trivial = {}
         for n in range(9):
             whole = (1 << n) - 1
@@ -325,18 +333,47 @@ class TestModuleRows:
                             )
                         module = module_rows(rows, ground)
                         assert (module == 0) == only_trivial[sub], (family, ground)
+                        assert (module == 0) == indecomposable_by_pairs(rows, ground), (family, ground)
                         if module:
                             # Vertices off the ground, with empty rows, see every set alike.
                             inside = [r if ground >> v & 1 else 0 for v, r in enumerate(rows)]
                             assert _is_module_mask(inside, n, module), (family, ground)
                             assert not module & ~ground and 2 <= module.bit_count() < len(members)
 
+    def test_drawn_reversals_and_deletions_from_nine_to_twelve_points(self):
+        # Past the exhaustive range: seeded partial pairings and partial
+        # quasi-pairings, the larger supports drawn more often, whole and
+        # less one vertex, against the all-pairs test.
+        rng = random.Random(18)
+        for n in range(9, 13):
+            whole = (1 << n) - 1
+            verdicts = set()
+            for quasi in (0, 1) * 200:
+                low, high = 1 + quasi, (n + quasi) // 2
+                size = max(rng.randint(low, high), rng.randint(low, high))
+                ends = rng.sample(range(n), 2 * size - quasi)
+                if quasi:  # the first two pairs share their first end, the hub
+                    ends.insert(2, ends[0])
+                pairs = [tuple(sorted(ends[i:i + 2])) for i in range(0, len(ends), 2)]
+                rows = reversal_rows(n, pairs)
+                for ground in (whole, *(whole ^ 1 << v for v in range(n))):
+                    module = module_rows(rows, ground)
+                    verdicts.add(module == 0)
+                    assert (module == 0) == indecomposable_by_pairs(rows, ground), (n, pairs, ground)
+                    if module:
+                        inside = [r if ground >> v & 1 else 0 for v, r in enumerate(rows)]
+                        assert _is_module_mask(inside, n, module), (n, pairs, ground)
+                        assert not module & ~ground
+                        assert 2 <= module.bit_count() < ground.bit_count()
+            assert verdicts == {False, True}, n
+
     def test_module_of_each_stage(self):
-        # The screen's twins, the refinement's first part, then the first
-        # closure of {v, u} short of the ground, on the cases above.
+        # The screen's twins, the closure of {v, w}, then the refinement
+        # from v and from w, on the cases above.
         assert module_rows(reversal_rows(6, [(2, 5), (3, 4)]), 0b111111) == 0b000011
-        assert module_rows(reversal_rows(6, [(0, 3), (1, 5), (2, 3)]), 0b111111) == 0b010100
-        assert module_rows(reversal_rows(6, [(0, 2), (1, 3), (2, 5)]), 0b111111) == 0b001001
+        assert module_rows(reversal_rows(4, [(0, 2)]), 0b1111) == 0b0111
+        assert module_rows(reversal_rows(4, [(1, 3)]), 0b1111) == 0b1110
+        assert module_rows(reversal_rows(4, [(0, 2), (1, 3)]), 0b1111) == 0b1001
         assert module_rows(reversal_rows(5, [(0, 2), (1, 4)]), 0b11111) == 0
 
 

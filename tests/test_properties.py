@@ -24,7 +24,7 @@ from revtour import (
     module_closure,
     subtournament,
 )
-from revtour.core import _out_rows, is_indecomposable_rows, pair_count
+from revtour.core import _out_rows, is_indecomposable_rows, module_rows, pair_count
 
 from oracles import sweep_by_spans
 
@@ -49,6 +49,18 @@ def tournaments_with_subset(draw, max_n=8):
     t = draw(tournaments(max_n))
     members = draw(st.sets(st.integers(min_value=0, max_value=t.n - 1)))
     return t, members
+
+
+def assert_witness(t, ground):
+    """A nonzero mask that ``module_rows`` returns is a nontrivial module
+    of the subtournament on the ground."""
+    module = module_rows(_out_rows(t), ground)
+    if module:
+        members = [v for v in range(t.n) if ground >> v & 1]
+        sub, _ = subtournament(t, members)
+        assert not module & ~ground
+        assert 2 <= module.bit_count() < len(members)
+        assert is_module(sub, [members.index(v) for v in members if module >> v & 1])
 
 
 @st.composite
@@ -90,6 +102,7 @@ def test_ground_mask_verdict_is_the_module_scan(case):
     nontrivial = [m for m in all_modules_bruteforce(sub) if 2 <= len(m) <= sub.n - 1]
     ground = sum(1 << v for v in members)
     assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
+    assert_witness(t, ground)
 
 
 @st.composite
@@ -122,6 +135,7 @@ def test_fixed_vertex_test_is_the_module_scan(case):
     sub, _ = subtournament(t, (v for v in range(t.n) if ground >> v & 1))
     nontrivial = [m for m in all_modules_bruteforce(sub) if 2 <= len(m) <= sub.n - 1]
     assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
+    assert_witness(t, ground)
 
 
 @given(tournaments_with_subset())
