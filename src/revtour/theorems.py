@@ -41,6 +41,11 @@ invariant under it.  So ``verify_range`` checks one family per mirror
 orbit, the one enumerated first, and counts both members.  A family
 object is built only for a filed row; its mirror image is checked too
 and filed beside it.
+
+With ``jobs`` = N > 1 the walks are dealt into N shards.  The caller
+checks shard 0 itself and forks one child for each other shard, which
+sends back its count of checked rows and its filed instances; a child
+that fails or dies makes the run fail, never hang.
 """
 
 from __future__ import annotations
@@ -48,9 +53,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
@@ -364,6 +367,77 @@ def _check_shard(plan: Plan, max_n: int | None, shard) -> tuple[int, list[Theore
     return checked, filed
 
 
+def _run_shards(
+    plan: Plan, max_n: int | None, jobs: int
+) -> list[tuple[int, list[TheoremInstance]]]:
+    """``_check_shard`` on the shards (0, jobs), ..., (jobs - 1, jobs), in that order.
+
+    The caller checks shard 0 itself, after forking one child for each
+    other shard.  A child pickles its result, or the exception it raised,
+    into its own pipe and leaves through ``os._exit`` alone, so it never
+    returns into the caller's code or flushes the caller's buffered output.
+    An exception from a child is raised again here, and a child that exits
+    without a result is a RuntimeError.  However this returns or raises,
+    every child has been killed or has exited, has been reaped, and every
+    pipe is closed.  revtour starts no thread, which keeps forking safe.
+    """
+    if jobs == 1:
+        return [_check_shard(plan, max_n, (0, 1))]
+    # Here, so that a serial run never loads them.
+    import pickle
+    import signal
+
+    pids: dict[int, int] = {}  # children not reaped yet, by shard index
+    pipes = {}  # the read end of each child's pipe, by shard index
+    try:
+        for i in range(1, jobs):
+            r, w = os.pipe()
+            pipes[i] = open(r, "rb")
+            # The caller's copy of the write end closes on leaving this block,
+            # so its read reaches EOF once the child exits.
+            with open(w, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        # Without a reader of its own, a child whose caller
+                        # died gets EPIPE instead of blocking on a full pipe.
+                        for pipe in pipes.values():
+                            pipe.close()
+                        try:
+                            sent = pickle.dumps((True, _check_shard(plan, max_n, (i, jobs))))
+                        except Exception as exc:
+                            sent = pickle.dumps((False, exc))
+                        sink.write(sent)
+                        sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids[i] = pid
+        results = [_check_shard(plan, max_n, (0, jobs))]
+        for i in range(1, jobs):
+            # Read to EOF before reaping: a child blocks on a full pipe.
+            with pipes[i] as pipe:
+                sent = pipe.read()
+            status = os.waitpid(pids[i], 0)[1]
+            del pids[i]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"status {code}" if code > 0 else f"signal {-code}"
+                raise RuntimeError(f"shard ({i}, {jobs}) exited with {how} and sent no result")
+            done, value = pickle.loads(sent)
+            if not done:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            pipe.close()
+
+
 def verify_range(
     theorem: int | str,
     n_min: int,
@@ -378,7 +452,8 @@ def verify_range(
     never counted as violations.  One family per mirror orbit is checked
     and ``checked`` counts both members.  Filed instances are ordered by
     n, then table row, then enumeration order, whatever the job count.
-    ``jobs`` must be at least 1 and is capped at the number of CPUs.
+    ``jobs`` must be at least 1 and is capped at the number of CPUs; more
+    than 1 needs ``os.fork``.
     """
     checks = [check for check in CHECKS if check.run == theorem]
     if not checks:
@@ -389,6 +464,8 @@ def verify_range(
         raise ValueError(f"theorem {theorem} is checked from n = {least}, got n = {n_min}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs > 1 needs os.fork, which this platform lacks; got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     report = VerificationReport(theorem, n_min, n_max)
@@ -400,16 +477,11 @@ def verify_range(
     ]
     for _, spec in plan:
         check_guard(spec, max_n)
-    # Worker i walks shard (i, jobs) of every walk of the plan on its own.
-    work, shards = partial(_check_shard, plan, max_n), [(i, jobs) for i in range(jobs)]
-    if jobs > 1:
-        import multiprocessing  # here, so that a serial run never loads it
-    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        for checked, filed in pool.imap_unordered(work, shards) if pool else map(work, shards):
-            report.checked += checked
-            for inst in filed:
-                one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
-                (report.recorded if one_way else report.violations).append(inst)
+    for checked, filed in _run_shards(plan, max_n, jobs):
+        report.checked += checked
+        for inst in filed:
+            one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
+            (report.recorded if one_way else report.violations).append(inst)
     # Rows arrive interleaved, orbit by orbit and shard by shard; file them in
     # table order at each n, then in the walk's order, that of the pair tuples.
     rows = [check.label for check in checks]

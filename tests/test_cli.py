@@ -278,14 +278,21 @@ class TestVerify:
         assert MS.sub("", pooled) == MS.sub("", serial)
 
     def test_import_leaves_out_multiprocessing(self):
-        # Only a pooled run loads it; every CLI call pays for what the import loads.
+        # Every CLI call pays for what the import loads.  No run loads
+        # multiprocessing, and only a run of two or more shards loads pickle.
         src = str(Path(revtour.__file__).parents[1])
-        code = "import sys, revtour.cli; print('multiprocessing' in sys.modules)"
+        code = (
+            "import io, sys, revtour.cli; print('pickle' in sys.modules); "
+            "out, sys.stdout = sys.stdout, io.StringIO(); "
+            "status = revtour.cli.main(['verify', '--theorem', '3', '--n-range', '5..6', "
+            "'--jobs', '2']); sys.stdout = out; "
+            "print(status, 'multiprocessing' in sys.modules)"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         argv = [sys.executable, "-c", code]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "False\n0 False\n"
 
     # sha256 of `verify --theorem T --n-range 3..7` with the "ms" member
     # removed, pinned from the implementation that ran theorems and

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -411,6 +412,137 @@ class TestVerifyRange:
         assert doc["violations"] == []
         assert isinstance(doc["ms"], float)
         json.dumps(doc)
+
+
+class TestForkedShards:
+    """The shard runner itself: the caller checks shard 0 and forks a child
+    for each other shard.  The autouse ``reaps_every_child`` fixture fails
+    any of these tests that leaves a child unreaped."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr("revtour.theorems.os.cpu_count", lambda: 2)
+
+    @staticmethod
+    def patch_shard(monkeypatch, shard, action):
+        real = revtour.theorems._check_shard
+
+        def patched(plan, max_n, at):
+            if at == shard:
+                action()
+            return real(plan, max_n, at)
+
+        monkeypatch.setattr("revtour.theorems._check_shard", patched)
+
+    @staticmethod
+    def script_stdout(child):
+        """Standard output of the script ``child``, run with a timeout, so
+        that a run which waits forever fails the test instead of hanging."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(child)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_dead_child_is_an_error(self):
+        # The child leaves with no result, as one the kernel kills for memory
+        # would; a run that waited for it would never return.
+        assert self.script_stdout("""
+            import os
+            import revtour.theorems as theorems
+            real = theorems._check_shard
+            def dying(plan, max_n, shard):
+                if shard == (1, 2):
+                    os._exit(3)
+                return real(plan, max_n, shard)
+            theorems._check_shard = dying
+            os.cpu_count = lambda: 2
+            try:
+                theorems.verify_range(3, 6, 6, jobs=2)
+            except RuntimeError as exc:
+                print(exc)
+            try:
+                print(os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                print("no child left")
+        """) == "shard (1, 2) exited with status 3 and sent no result\nno child left\n"
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise RuntimeError(f"planted in pid {os.getpid()}")
+
+        self.patch_shard(monkeypatch, (1, 2), fail)
+        with pytest.raises(RuntimeError, match="planted in pid") as raised:
+            verify_range(3, 6, 6, jobs=2)
+        assert str(raised.value) != f"planted in pid {os.getpid()}"
+
+    def test_callers_failure_kills_and_reaps_the_child(self, monkeypatch):
+        forked = []
+        real_fork = os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            forked.append(pid)
+            return pid
+
+        def fail():
+            raise ValueError("planted in shard (0, 2)")
+
+        monkeypatch.setattr("os.fork", recording_fork)
+        self.patch_shard(monkeypatch, (1, 2), lambda: time.sleep(60))
+        self.patch_shard(monkeypatch, (0, 2), fail)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="planted"):
+            verify_range(3, 6, 6, jobs=2)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(forked[0], 0)
+
+    def test_shard_zero_runs_in_the_caller(self, monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        real = revtour.theorems._check_shard
+
+        def logging(plan, max_n, shard):
+            with open(log, "a") as out:
+                out.write(f"{shard} {os.getpid()}\n")
+            return real(plan, max_n, shard)
+
+        monkeypatch.setattr("revtour.theorems._check_shard", logging)
+        verify_range(3, 6, 6, jobs=2)
+        pids = dict(line.rsplit(" ", 1) for line in log.read_text().splitlines())
+        assert sorted(pids) == ["(0, 2)", "(1, 2)"]
+        assert pids["(0, 2)"] == str(os.getpid()) != pids["(1, 2)"]
+
+    def test_result_larger_than_a_pipe_buffer(self):
+        # Every theorem 3 row at n = 8 is then a violation: shard (1, 2)
+        # files 2,172 instances, which the child cannot write all at once.
+        # A caller that reaped the child before reading its pipe would wait
+        # forever.
+        assert self.script_stdout("""
+            import os, pickle
+            from dataclasses import replace
+            import revtour.theorems as theorems
+            rows = tuple(
+                replace(c, sides=lambda n, shape, reversal: (False, True, {}))
+                if c.label == "theorem3" else c for c in theorems.CHECKS
+            )
+            theorems.CHECKS, theorems._BY_LABEL = rows, {c.label: c for c in rows}
+            os.cpu_count = lambda: 2
+            plan = [(("theorem3",), theorems.EnumSpec(8, "partial-quasi"))]
+            print(len(pickle.dumps(theorems._check_shard(plan, None, (1, 2)))) > 64 * 1024)
+            serial, forked = (theorems.verify_range(3, 8, 8, jobs=j).to_json() for j in (1, 2))
+            del serial["ms"], forked["ms"]
+            print(forked == serial, len(serial["violations"]))
+        """) == "True\nTrue 4368\n"
+
+    def test_jobs_need_fork(self, monkeypatch):
+        monkeypatch.delattr("os.fork")
+        with pytest.raises(ValueError, match="os.fork"):
+            verify_range(3, 6, 6, jobs=2)
+        assert verify_range(3, 6, 6).checked == 240
 
 
 def report_doc(theorem, jobs=1):
