@@ -78,11 +78,10 @@ def is_comodule(t: Tournament, members: Iterable[int]) -> bool:
     return _is_comodule_mask(_out_rows(t), t.n, mask)
 
 
-def minimal_comodules_bruteforce(t: Tournament, max_n: int | None = None) -> ComoduleFamily:
+def minimal_comodules_bruteforce(t: Tournament) -> ComoduleFamily:
     """Co-modules containing no other co-module, by scanning all subsets."""
-    limit = MINIMAL_SCAN_LIMIT if max_n is None else max_n
-    if t.n > limit:
-        raise GuardError(f"minimal co-module scan allows n <= {limit}, got {t.n}")
+    if t.n > MINIMAL_SCAN_LIMIT:
+        raise GuardError(f"minimal co-module scan allows n <= {MINIMAL_SCAN_LIMIT}, got {t.n}")
     rows = _out_rows(t)
     masks = [m for m in range(1 << t.n) if _is_comodule_mask(rows, t.n, m)]
     minimal = [
@@ -112,18 +111,15 @@ def comodular_index_total_order(n: int) -> int:
     return (n + 2) // 2
 
 
-def max_comodular_decomposition_bruteforce(
-    t: Tournament, max_n: int | None = None
-) -> ComoduleFamily:
+def max_comodular_decomposition_bruteforce(t: Tournament) -> ComoduleFamily:
     """A maximum family of pairwise disjoint co-modules, by exact search.
 
     Enumerates all co-modules and branches on taking or skipping each,
     memoized on the blocked vertex set, so the reported family size is
     exact.
     """
-    limit = DECOMPOSITION_SCAN_LIMIT if max_n is None else max_n
-    if t.n > limit:
-        raise GuardError(f"decomposition search allows n <= {limit}, got {t.n}")
+    if t.n > DECOMPOSITION_SCAN_LIMIT:
+        raise GuardError(f"decomposition search allows n <= {DECOMPOSITION_SCAN_LIMIT}, got {t.n}")
     rows = _out_rows(t)
     masks = [m for m in range(1 << t.n) if _is_comodule_mask(rows, t.n, m)]
     memo: dict[tuple[int, int], tuple[int, ...]] = {}

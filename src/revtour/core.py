@@ -330,15 +330,14 @@ def is_indecomposable(t: Tournament) -> bool:
     return is_indecomposable_rows(_out_rows(t), (1 << t.n) - 1)
 
 
-def all_modules_bruteforce(t: Tournament, max_n: int | None = None) -> list[frozenset[int]]:
+def all_modules_bruteforce(t: Tournament) -> list[frozenset[int]]:
     """Every module, found by scanning all 2^n subsets.
 
     Oracle counterpart of the closure-based operations.  Results are in
     shortlex order (by size, then by elements).
     """
-    limit = SUBSET_SCAN_LIMIT if max_n is None else max_n
-    if t.n > limit:
-        raise GuardError(f"subset scan allows n <= {limit}, got {t.n}")
+    if t.n > SUBSET_SCAN_LIMIT:
+        raise GuardError(f"subset scan allows n <= {SUBSET_SCAN_LIMIT}, got {t.n}")
     rows = _out_rows(t)
     found = [
         frozenset(_mask_vertices(mask))

@@ -8,9 +8,11 @@ k-th one-pair family and depth-two subtree of the walk from the i-th on,
 so k shards partition the stream; shard (0, 1) is the whole stream.
 
 Under filter ``irreducible-only`` the walk keeps only the irreducible
-families, by their cuts (``pairs._cuts``).  ``enumerate_families`` builds
-a family from each tuple of ``_family_tuples``; ``theorems`` reads the
-tuples without building any.
+families, by their cuts (``pairs._cuts``).  Each family comes as the
+tuple ``(pairs, mask, hub)`` that ``PairFamily`` stores.
+``enumerate_families`` checks the enumeration guard and builds a family
+from each tuple of ``_family_tuples``; ``theorems`` reads the tuples
+without building any, once ``verify_range`` has checked the guard.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ def _pair_walk(
     whole stream lexicographic without post-sorting.  Ends are the set bits
     of the free mask and, while a hub is allowed, of the mask covered
     ``once`` (for a second end, only with a free first end), lowest first.
-    Each family comes as ``(pairs, support, twice)``: its sorted pairs and
-    the bit masks of its support and of its hub (0 for a pairing).  For ``shard``
+    Each family comes as ``(pairs, mask, hub)``: its sorted pairs, the bit
+    mask of its support and its hub (-1 for a pairing).  For ``shard``
     (i, k), a node at depth one or two whose ordinal mod k is not i skips its
     family and, at depth two, its subtree.
 
@@ -151,7 +153,7 @@ def _pair_walk(
                 if complete and now_hubs == doubled and not theirs:
                     now_covered = now_once | now_twice
                     if not irreducible or cuts.isdisjoint(_cuts(now_covered, now_covered, a + 1)):
-                        yield tuple(acc), now_covered, now_twice
+                        yield tuple(acc), now_covered, now_twice.bit_length() - 1
                 if not theirs or depth == 1:
                     yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
                 acc.pop()
@@ -162,7 +164,7 @@ def _pair_walk(
 
 
 def default_limit(kind: str) -> int:
-    """Largest n the enumeration guard allows for the kind without ``max_n``."""
+    """Largest n the enumeration guard allows for the kind without an override."""
     return PARTIAL_ENUM_LIMIT if kind.startswith("partial") else FULL_ENUM_LIMIT
 
 
@@ -173,28 +175,26 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
 
-def _family_tuples(spec: EnumSpec, max_n: int | None = None, shard=(0, 1)) -> Iterator[tuple]:
-    """The walk's ``(pairs, mask, twice)`` for the families matching the spec
-    in ``shard`` (i, k), the empty one first in shard 0.  Guard and shard
-    are checked at the call, not at the first step."""
-    check_guard(spec, max_n)
+def _family_tuples(spec: EnumSpec, shard=(0, 1)) -> Iterator[tuple]:
+    """The walk's ``(pairs, mask, hub)`` for the families matching the spec
+    in ``shard`` (i, k), the empty one first in shard 0.  The shard is
+    checked at the call, not at the first step; the guard is the caller's."""
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
     irreducible = spec.filter == "irreducible-only"
     walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible)
     if spec.include_empty and not (shard[0] or spec.is_quasi) and (spec.is_partial or not spec.n):
-        return chain([((), 0, 0)], walk)
+        return chain([((), 0, -1)], walk)
     return walk
 
 
-def enumerate_families(
-    spec: EnumSpec, max_n: int | None = None, *, shard: tuple[int, int] = (0, 1)
-) -> Iterator[PairFamily]:
-    """The families matching the spec in ``shard`` (i, k) of the walk, the
-    empty one in shard 0, in lexicographic order of pair tuples."""
+def enumerate_families(spec: EnumSpec, max_n: int | None = None) -> Iterator[PairFamily]:
+    """The families matching the spec in lexicographic order of pair tuples,
+    so the empty one first if asked for.  The guard is checked at the first step."""
+    check_guard(spec, max_n)
     build = QuasiPairing._from_walk if spec.is_quasi else Pairing._from_walk
-    for pairs, mask, twice in _family_tuples(spec, max_n, shard):
-        yield build(spec.n, pairs, mask, twice.bit_length() - 1)
+    for node in _family_tuples(spec):
+        yield build(spec.n, *node)
 
 
 def count_irreducible_pairings(m: int, max_m: int | None = None) -> int:
@@ -202,7 +202,7 @@ def count_irreducible_pairings(m: int, max_m: int | None = None) -> int:
     if m % 2:
         raise ValueError(f"pairings of a full ground set need an even size, got {m}")
     spec = EnumSpec(m, "pairing", "irreducible-only", include_empty=True)
-    return sum(1 for _ in enumerate_families(spec, max_n=max_m))
+    return sum(1 for _ in enumerate_families(spec, max_m))
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,6 @@ def census(spec: EnumSpec, max_n: int | None = None) -> Iterator[CensusRecord]:
         yield CensusRecord(family, t, indecomposable, judge(family), class_id)
 
 
-def indecomposable_census(spec: EnumSpec, max_n: int | None = None) -> list[CensusRecord]:
+def indecomposable_census(spec: EnumSpec) -> list[CensusRecord]:
     """The census restricted to families whose reversed tournament is indecomposable."""
-    return [r for r in census(spec, max_n=max_n) if r.indecomposable]
+    return [r for r in census(spec) if r.indecomposable]

@@ -32,8 +32,9 @@ matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides and its filing rule.  One driver,
 ``verify_range``, runs the rows of a theorem id or of "corollaries".
-It reads the pair walk's ``(pairs, mask, twice)`` tuples, and every row
-of a family's kind reads one ``Shape`` derived from them once.
+It checks the enumeration guard for its whole plan before any work,
+reads the pair walk's ``(pairs, mask, hub)`` tuples, and every row of a
+family's kind reads one ``Shape`` derived from them once.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
@@ -58,7 +59,7 @@ from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
 from .enumeration import EnumSpec, check_guard
-# The walk's (pairs, mask, twice) tuples, bound to the name under which
+# The walk's (pairs, mask, hub) tuples, bound to the name under which
 # perfbench/spans.py traces the enumeration layer of this module.
 from .enumeration import _family_tuples as enumerate_families
 from .pairs import (
@@ -84,7 +85,7 @@ Sides = tuple[bool, bool, dict[str, bool]]
 Shape = tuple[tuple[tuple[int, int], ...], int, int, int, int, bool]
 # The out-rows of T(n, F) and a nontrivial module of T(n, F), 0 when it has none.
 Reversal = tuple[list[int], int]
-# Rows, size, the walk's (pairs, mask, twice) for a mirror orbit's first member,
+# Rows, size, the walk's (pairs, mask, hub) for a mirror orbit's first member,
 # and whether its mirror image is another family.
 Task = tuple[tuple[str, ...], int, tuple[tuple, int, int], bool]
 Plan = list[tuple[tuple[str, ...], EnumSpec]]
@@ -321,11 +322,11 @@ def _sides(labels: tuple[str, ...], n: int, shape: Shape) -> list[Sides]:
     return [_BY_LABEL[label].sides(n, shape, reversal) for label in labels]
 
 
-def _orbit_tasks(plan: Plan, max_n: int | None, shard=(0, 1)) -> Iterator[Task]:
+def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
     """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
     for labels, spec in plan:
         n = spec.n
-        for node in enumerate_families(spec, max_n, shard):
+        for node in enumerate_families(spec, shard):
             pairs, top = node[0], node[1].bit_length() - 1
             # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
             lead = n - 1 - top - pairs[0][0]
@@ -340,8 +341,7 @@ def _orbit_tasks(plan: Plan, max_n: int | None, shard=(0, 1)) -> Iterator[Task]:
 def _check_orbit(task: Task) -> tuple[int, list[TheoremInstance]]:
     """Rows checked on one mirror orbit, and instances made for the rows filed
     only: a family is built only for them, and for their mirror twin."""
-    labels, n, (pairs, mask, twice), paired = task
-    hub = twice.bit_length() - 1
+    labels, n, (pairs, mask, hub), paired = task
     rows = zip(labels, _sides(labels, n, _shape(n, pairs, mask, hub)))
     filed = [(label, s) for label, s in rows if s[0] != s[1] and n >= CHARACTERIZATION_MIN_N]
     if not filed:
@@ -358,18 +358,16 @@ def _check_orbit(task: Task) -> tuple[int, list[TheoremInstance]]:
     return len(labels) * (1 + paired), instances
 
 
-def _check_shard(plan: Plan, max_n: int | None, shard) -> tuple[int, list[TheoremInstance]]:
+def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
     """``_check_orbit`` summed over the mirror orbits in ``shard`` of the plan's walks."""
     checked, filed = 0, []
-    for rows, instances in map(_check_orbit, _orbit_tasks(plan, max_n, shard)):
+    for rows, instances in map(_check_orbit, _orbit_tasks(plan, shard)):
         checked += rows
         filed += instances
     return checked, filed
 
 
-def _run_shards(
-    plan: Plan, max_n: int | None, jobs: int
-) -> list[tuple[int, list[TheoremInstance]]]:
+def _run_shards(plan: Plan, jobs: int) -> list[tuple[int, list[TheoremInstance]]]:
     """``_check_shard`` on the shards (0, jobs), ..., (jobs - 1, jobs), in that order.
 
     The caller checks shard 0 itself, after forking one child for each
@@ -382,7 +380,7 @@ def _run_shards(
     pipe is closed.  revtour starts no thread, which keeps forking safe.
     """
     if jobs == 1:
-        return [_check_shard(plan, max_n, (0, 1))]
+        return [_check_shard(plan, (0, 1))]
     # Here, so that a serial run never loads them.
     import pickle
     import signal
@@ -405,7 +403,7 @@ def _run_shards(
                         for pipe in pipes.values():
                             pipe.close()
                         try:
-                            sent = pickle.dumps((True, _check_shard(plan, max_n, (i, jobs))))
+                            sent = pickle.dumps((True, _check_shard(plan, (i, jobs))))
                         except Exception as exc:
                             sent = pickle.dumps((False, exc))
                         sink.write(sent)
@@ -414,7 +412,7 @@ def _run_shards(
                     finally:
                         os._exit(status)
                 pids[i] = pid
-        results = [_check_shard(plan, max_n, (0, jobs))]
+        results = [_check_shard(plan, (0, jobs))]
         for i in range(1, jobs):
             # Read to EOF before reaping: a child blocks on a full pipe.
             with pipes[i] as pipe:
@@ -477,7 +475,7 @@ def verify_range(
     ]
     for _, spec in plan:
         check_guard(spec, max_n)
-    for checked, filed in _run_shards(plan, max_n, jobs):
+    for checked, filed in _run_shards(plan, jobs):
         report.checked += checked
         for inst in filed:
             one_way = inst.lhs and inst.n == _BY_LABEL[inst.label].one_way_at
@@ -491,11 +489,11 @@ def verify_range(
     return report
 
 
-def corollary_checks(n: int, max_n: int | None = None) -> VerificationReport:
+def corollary_checks(n: int) -> VerificationReport:
     """Check every corollary applicable at n over full-support families."""
-    return verify_range("corollaries", n, n, max_n=max_n)
+    return verify_range("corollaries", n, n)
 
 
-def corollaries_range(n_min: int, n_max: int, max_n: int | None = None) -> VerificationReport:
+def corollaries_range(n_min: int, n_max: int) -> VerificationReport:
     """Check every applicable corollary over a range of ambient sizes."""
-    return verify_range("corollaries", n_min, n_max, max_n=max_n)
+    return verify_range("corollaries", n_min, n_max)

@@ -19,7 +19,7 @@ def reaps_every_child():
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
+def fake_shards(monkeypatch):
     """Replace the verifier's shard runner by an in-process map.
 
     The machine reports 4 CPUs for the duration of the test.  Returns
@@ -28,18 +28,18 @@ def fake_pool(monkeypatch):
     attribute lists the shards of those runs, in the order mapped.
     """
 
-    class PoolLog(list):
+    class ShardLog(list):
         tasks: list
 
-    sizes = PoolLog()
+    sizes = ShardLog()
     sizes.tasks = []
 
-    def in_process(plan, max_n, jobs):
+    def in_process(plan, jobs):
         shards = [(i, jobs) for i in range(jobs)]
         if jobs > 1:
             sizes.append(jobs)
             sizes.tasks += shards
-        return [revtour.theorems._check_shard(plan, max_n, shard) for shard in shards]
+        return [revtour.theorems._check_shard(plan, shard) for shard in shards]
 
     monkeypatch.setattr("revtour.theorems._run_shards", in_process)
     monkeypatch.setattr("revtour.theorems.os.cpu_count", lambda: 4)

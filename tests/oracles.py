@@ -7,7 +7,7 @@ sharing nothing with the package internals beyond public data access.
 from itertools import accumulate, combinations, permutations
 from math import comb
 
-from revtour import enumerate_families
+from revtour.enumeration import _family_tuples
 from revtour.pairs import mirror_pairs
 
 
@@ -150,34 +150,36 @@ def canonical_form_by_scan(t) -> str:
 
 def walk_tuple(pairs):
     """A family as the pair walk yields it, from vertex counts: its pairs,
-    the mask of the vertices it covers and that of those covered twice."""
+    the mask of the vertices it covers and its hub, the vertex covered
+    twice (-1 for none)."""
     counts = {}
     for pair in pairs:
         for v in pair:
             counts[v] = counts.get(v, 0) + 1
-    twice = sum(1 << v for v, c in counts.items() if c == 2)
-    return tuple(pairs), sum(1 << v for v in counts), twice
+    hub = max((v for v, c in counts.items() if c == 2), default=-1)
+    return tuple(pairs), sum(1 << v for v in counts), hub
 
 
-def unreduced_tasks(plan, max_n, shard=(0, 1)):
-    """Every family of the walks' shard as a task of its own, with no
-    mirror image to stand for: ``revtour.theorems._orbit_tasks`` before the
-    mirror-orbit reduction, fed to the same driver."""
+def unreduced_tasks(plan, shard=(0, 1)):
+    """Every family of the walks' shard, as ``_family_tuples`` deals it, as
+    a task of its own, with no mirror image to stand for:
+    ``revtour.theorems._orbit_tasks`` before the mirror-orbit reduction,
+    fed to the same driver."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n, shard=shard):
-            yield labels, spec.n, walk_tuple(family.pairs), False
+        for pairs, *_ in _family_tuples(spec, shard):
+            yield labels, spec.n, walk_tuple(pairs), False
 
 
-def orbit_tasks_by_mirror(plan, max_n, shard=(0, 1)):
+def orbit_tasks_by_mirror(plan, shard=(0, 1)):
     """One task per mirror orbit of the walks' shard, keeping a family whose
     pair tuple is not larger than its mirrored tuple:
     ``revtour.theorems._orbit_tasks`` before its least-pair test, sorting
     the image of every family."""
     for labels, spec in plan:
-        for family in enumerate_families(spec, max_n, shard=shard):
-            image = mirror_pairs(spec.n, family.pairs)
-            if family.pairs <= image:
-                yield labels, spec.n, walk_tuple(family.pairs), family.pairs != image
+        for pairs, *_ in _family_tuples(spec, shard):
+            image = mirror_pairs(spec.n, pairs)
+            if pairs <= image:
+                yield labels, spec.n, walk_tuple(pairs), pairs != image
 
 
 def _hub_and_partners(pairs):

@@ -176,6 +176,44 @@ class TestEnumerate:
         )
         assert status == 1 and "13" in err
 
+    # sha256 of `enumerate --n N --kind K [FLAG]`, pinned from the walk that
+    # yielded the mask of the vertices in two pairs rather than the hub.
+    # No quasi-pairing has an even ground set, so n = 9 pins the quasi walk.
+    @pytest.mark.parametrize("kind, n, flag, digest", [
+        ("pairing", 8, "", "361d827308ac2f3da946f66ae739759e9f3bac32d96d6fce3d08516fb49b3680"),
+        ("pairing", 8, "--irreducible-only",
+         "9cb67b58008f503fb76ebd668bbec607bc28bc6ce613ee1655ff1f9d8ba2bc11"),
+        ("pairing", 8, "--include-empty",
+         "361d827308ac2f3da946f66ae739759e9f3bac32d96d6fce3d08516fb49b3680"),
+        ("partial-pairing", 8, "",
+         "0fe9982417b12a1c5f394f2738c7e3b8ef06c892601470c567333afc7c2e050b"),
+        ("partial-pairing", 8, "--irreducible-only",
+         "d43a2fa55bee90139cdc4186f76e66c3ad3ff2c964818cb9dd0fd813dd960645"),
+        ("partial-pairing", 8, "--include-empty",
+         "f853b99db9926cff8848358e0c2a125553417d7687f7e1714290ebcf0e7a453c"),
+        ("quasi", 8, "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("quasi", 8, "--irreducible-only",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("quasi", 8, "--include-empty",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("quasi", 9, "", "392b0c7153043dbc7eff20d55c8d4bbd3c59b861418717e70bcb15126fe175dd"),
+        ("quasi", 9, "--irreducible-only",
+         "8dfb1ff9447d98a7d886dd16b3e07464c48ef8fce8d996d6127483c8aa268ae4"),
+        ("quasi", 9, "--include-empty",
+         "392b0c7153043dbc7eff20d55c8d4bbd3c59b861418717e70bcb15126fe175dd"),
+        ("partial-quasi", 8, "",
+         "228339207278fdf7e98e42d29b8c19fb40461d6e17643f906a73af6a1cc2c1b0"),
+        ("partial-quasi", 8, "--irreducible-only",
+         "83894fb62efadb35f54eccabc56f770459e21586056184c325ded4dd020c110d"),
+        ("partial-quasi", 8, "--include-empty",
+         "228339207278fdf7e98e42d29b8c19fb40461d6e17643f906a73af6a1cc2c1b0"),
+    ])
+    def test_golden_stream(self, capsys, monkeypatch, kind, n, flag, digest):
+        argv = ["enumerate", "--n", str(n), "--kind", kind] + ([flag] if flag else [])
+        status, out, _ = run(capsys, monkeypatch, argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_unknown_flag_rejected(self, capsys, monkeypatch):
         status, _, err = run(
             capsys, monkeypatch,
@@ -191,6 +229,16 @@ class TestCount:
         )
         assert status == 0
         assert json.loads(out) == {"2": 1, "4": 1, "6": 4}
+
+    def test_golden_table(self, capsys, monkeypatch):
+        # sha256 pinned from the walk that yielded the mask of the vertices
+        # in two pairs; the table reads 1, 1, 1, 4, 27, 248, 2830, 38232.
+        status, out, _ = run(
+            capsys, monkeypatch, ["count", "irreducible-pairings", "--m-range", "0..14"]
+        )
+        assert status == 0
+        digest = "2b9d9f582a1a807257561fd85011c1d4aa5a9acf4ba289e661f35f2fc3fdc810"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_range(self, capsys, monkeypatch):
         for m_range in ("6..2", "a..3", "1_0..+12", "2..+4", " 2..4", "2..", "\u0662..4"):
@@ -259,23 +307,23 @@ class TestVerify:
         )
         assert status == 0 and json.loads(out)["checked"] == checked
 
-    def test_corollaries_jobs_go_through_the_pool(self, capsys, monkeypatch, fake_pool):
+    def test_corollaries_jobs_split_into_shards(self, capsys, monkeypatch, fake_shards):
         argv = ["verify", "--theorem", "corollaries", "--n-range", "5..7"]
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
-        assert fake_pool == []
+        assert fake_shards == []
         orbits = []
         real = revtour.theorems._check_orbit
         monkeypatch.setattr(
             "revtour.theorems._check_orbit", lambda task: orbits.append(task) or real(task)
         )
-        _, pooled, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
-        # One pool for the whole run, fed one task per worker: its shard of
-        # every walk.  The workers check one family per mirror orbit: 16 of
-        # the 30 quasi-pairings at n = 5, 11 of the 15 pairings at n = 6 and
-        # 162 of the 315 quasi-pairings at n = 7.
-        assert fake_pool == [2] and fake_pool.tasks == [(0, 2), (1, 2)]
+        _, sharded, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
+        # Two shards for the whole run, each taking its share of every walk.
+        # Together they check one family per mirror orbit: 16 of the 30
+        # quasi-pairings at n = 5, 11 of the 15 pairings at n = 6 and 162 of
+        # the 315 quasi-pairings at n = 7.
+        assert fake_shards == [2] and fake_shards.tasks == [(0, 2), (1, 2)]
         assert len(orbits) == 16 + 11 + 162
-        assert MS.sub("", pooled) == MS.sub("", serial)
+        assert MS.sub("", sharded) == MS.sub("", serial)
 
     def test_import_leaves_out_multiprocessing(self):
         # Every CLI call pays for what the import loads.  No run loads

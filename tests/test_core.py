@@ -407,11 +407,12 @@ class TestAllModulesBruteforce:
     def test_two_vertices_all_subsets(self):
         assert len(all_modules_bruteforce(transitive(2))) == 4
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(GuardError):
             all_modules_bruteforce(transitive(21))
-        with pytest.raises(GuardError):
-            all_modules_bruteforce(transitive(5), max_n=4)
+        monkeypatch.setattr("revtour.core.SUBSET_SCAN_LIMIT", 4)
+        with pytest.raises(GuardError, match="n <= 4, got 5"):
+            all_modules_bruteforce(transitive(5))
 
 
 class TestIsomorphism:

@@ -26,7 +26,7 @@ from revtour import (
     reverse_pairs,
     transitive,
 )
-from revtour.enumeration import KINDS, _pair_walk
+from revtour.enumeration import KINDS, _family_tuples, _pair_walk
 
 from oracles import (
     all_partial_pairings,
@@ -129,10 +129,11 @@ class TestStreamShape:
             args = (n, int(spec.is_quasi), not spec.is_partial)
             walk = list(_pair_walk(*args))
             assert [pairs for pairs, _, _ in walk] == list(pair_walk_by_counts(*args)), n
-            # Each family comes with its support and the vertices in two pairs.
-            for pairs, mask, twice in walk:
+            # Each family comes with its support and the vertex in two pairs.
+            for pairs, mask, hub in walk:
                 assert mask == reduce(or_, (1 << x | 1 << y for x, y in pairs))
-                assert twice == sum(1 << v for v in range(n) if sum(v in p for p in pairs) == 2)
+                twice = [v for v in range(n) if sum(v in p for p in pairs) == 2]
+                assert [hub] == (twice or [-1])
 
     def test_families_are_typed(self):
         assert all(isinstance(f, Pairing) for f in collect(4, "partial-pairing"))
@@ -147,6 +148,11 @@ class TestStreamShape:
             list(enumerate_families(EnumSpec(8, "partial-pairing"), max_n=7))
 
 
+def shard_pairs(spec, shard):
+    """The pair tuples of the families in ``shard`` (i, k) of the spec's walk."""
+    return [pairs for pairs, *_ in _family_tuples(spec, shard)]
+
+
 class TestShards:
     """Shard (i, k) deals the walk's one-pair families and depth-two
     subtrees round-robin, so the k shards partition the stream."""
@@ -158,9 +164,7 @@ class TestShards:
             spec = EnumSpec(n, kind, include_empty=include_empty)
             stream = [f.pairs for f in enumerate_families(spec)]
             for k in range(1, 5):
-                shards = [
-                    [f.pairs for f in enumerate_families(spec, shard=(i, k))] for i in range(k)
-                ]
+                shards = [shard_pairs(spec, (i, k)) for i in range(k)]
                 dealt = [pairs for shard in shards for pairs in shard]
                 # Disjoint, together the stream, and each in the stream's order.
                 assert len(set(dealt)) == len(dealt), (n, k)
@@ -171,12 +175,12 @@ class TestShards:
 
     def test_every_shard_gets_work(self):
         spec = EnumSpec(9, "partial-quasi")
-        sizes = [sum(1 for _ in enumerate_families(spec, shard=(i, 4))) for i in range(4)]
+        sizes = [len(shard_pairs(spec, (i, 4))) for i in range(4)]
         assert sum(sizes) == 19152 and min(sizes) > 19152 // 5
 
     # Regression pin: the per-shard sizes of the pruned walks, as dealt when
     # a pruned node takes no ordinal.  Any dealing partitions the stream, so
-    # only these sizes show a change in the pool's balance.
+    # only these sizes show a change in the balance of the shards.
     @pytest.mark.parametrize("spec, sizes", [
         (EnumSpec(12, "pairing", "irreducible-only"), {2: [1398, 1432], 3: [938, 938, 954]}),
         (EnumSpec(9, "partial-quasi", "irreducible-only"),
@@ -184,13 +188,13 @@ class TestShards:
     ])
     def test_pruned_shard_sizes(self, spec, sizes):
         for k, pinned in sizes.items():
-            got = [sum(1 for _ in enumerate_families(spec, shard=(i, k))) for i in range(k)]
+            got = [len(shard_pairs(spec, (i, k))) for i in range(k)]
             assert got == pinned, k
 
     @pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0), (2, 2)])
     def test_bad_shard(self, shard):
         with pytest.raises(ValueError, match="0 <= i < k"):
-            next(enumerate_families(EnumSpec(5, "partial-pairing"), shard=shard))
+            _family_tuples(EnumSpec(5, "partial-pairing"), shard)
 
 
 class TestWalkBuiltFamilies:
@@ -241,7 +245,7 @@ class TestWalkBuiltFamilies:
         assert out.startswith("1 invariant broken at n=4, pairs '0-1,1-2'")
 
     def test_pickle_round_trip(self):
-        # A pooled verify ships walk-built families to its workers this way.
+        # A forked verify shard sends its filed families back this way.
         for family in collect(6, "pairing") + collect(7, "partial-quasi"):
             copy = pickle.loads(pickle.dumps(family))
             assert type(copy) is type(family)
@@ -301,9 +305,7 @@ class TestPrunedWalk:
                 continue  # the same stream as without: no quasi-pairing is empty
             stream = [f.pairs for f in enumerate_families(spec)]
             for k in range(1, 5):
-                shards = [
-                    [f.pairs for f in enumerate_families(spec, shard=(i, k))] for i in range(k)
-                ]
+                shards = [shard_pairs(spec, (i, k)) for i in range(k)]
                 dealt = [pairs for shard in shards for pairs in shard]
                 assert len(dealt) == len(set(dealt)) and sorted(dealt) == stream, (spec, k)
                 assert all(shard == sorted(shard) for shard in shards), (spec, k)

@@ -316,9 +316,9 @@ class TestVerifyRange:
         enumerated = []
         real = revtour.theorems.enumerate_families
 
-        def counting(spec, max_n=None, shard=(0, 1)):
+        def counting(spec, shard=(0, 1)):
             enumerated.append((spec.n, spec.kind))
-            return real(spec, max_n, shard)
+            return real(spec, shard)
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         report = verify_range("corollaries", 6, 7)
@@ -326,7 +326,7 @@ class TestVerifyRange:
         assert enumerated == [(6, "pairing"), (7, "quasi")]
         assert report.passed and report.checked == 15 + 2 * 315
 
-    def test_rows_filed_by_n_then_row_then_enumeration(self, monkeypatch, fake_pool):
+    def test_rows_filed_by_n_then_row_then_enumeration(self, monkeypatch, fake_shards):
         # Corollaries 3 and 2 see each quasi-pairing at n = 7 in turn, so
         # their violations arrive interleaved; make every one a violation.
         patch_sides(
@@ -335,8 +335,8 @@ class TestVerifyRange:
             corollary2=lambda n, shape, reversal: (False, True, {}),
         )
         serial = verify_range("corollaries", 5, 7)
-        pooled = verify_range("corollaries", 5, 7, jobs=2)
-        assert fake_pool == [2]
+        sharded = verify_range("corollaries", 5, 7, jobs=2)
+        assert fake_shards == [2]
         quasi = {
             n: [f.serialize() for f in enumerate_families(EnumSpec(n, "quasi"))] for n in (5, 7)
         }
@@ -345,7 +345,7 @@ class TestVerifyRange:
             + [(7, "corollary3", pairs) for pairs in quasi[7]]
             + [(7, "corollary2", pairs) for pairs in quasi[7]]
         )
-        assert [i.to_record() for i in pooled.violations] == [
+        assert [i.to_record() for i in sharded.violations] == [
             i.to_record() for i in serial.violations
         ]
 
@@ -359,13 +359,13 @@ class TestVerifyRange:
         assert report.checked == 60 and len(getattr(report, filed)) == 60
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_pool, jobs):
+    def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_shards, jobs):
         events = []
         real_walk = revtour.theorems.enumerate_families
         real_rows = revtour.theorems.reversal_rows
 
-        def enumerating(spec, max_n=None, shard=(0, 1)):
-            for node in real_walk(spec, max_n, shard):
+        def enumerating(spec, shard=(0, 1)):
+            for node in real_walk(spec, shard):
                 events.append("family")
                 yield node
 
@@ -380,21 +380,36 @@ class TestVerifyRange:
         # The first family is checked before the second is enumerated.
         assert events[:3] == ["family", "check", "family"]
 
-    def test_guard_fails_before_any_work(self, monkeypatch, fake_pool):
+    def test_guard_fails_before_any_work(self, monkeypatch, fake_shards):
         enumerated = []
 
-        def counting(spec, max_n=None, shard=(0, 1)):
+        def counting(spec, shard=(0, 1)):
             enumerated.append(spec.n)
             return iter(())
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         with pytest.raises(GuardError, match="n <= 12, got 13"):
             verify_range(3, 12, 13, jobs=2)
-        assert enumerated == [] and fake_pool == []
+        assert enumerated == [] and fake_shards == []
 
-    def test_jobs_capped_at_cpu_count(self, fake_pool):
+    def test_guard_is_checked_once_per_walk(self, monkeypatch, fake_shards):
+        calls = []
+        real = revtour.enumeration.check_guard
+
+        def counting(spec, max_n):
+            calls.append((spec.n, spec.kind))
+            return real(spec, max_n)
+
+        monkeypatch.setattr("revtour.theorems.check_guard", counting)
+        monkeypatch.setattr("revtour.enumeration.check_guard", counting)
+        report = verify_range(3, 5, 6, jobs=2)
+        # Once for each walk of the run, before any shard; no shard checks it again.
+        assert fake_shards == [2] and report.passed
+        assert calls == [(5, "partial-quasi"), (6, "partial-quasi")]
+
+    def test_jobs_capped_at_cpu_count(self, fake_shards):
         capped = verify_range(3, 6, 6, jobs=10**6)
-        assert fake_pool == [4]
+        assert fake_shards == [4]
         assert capped.checked == 240 and capped.passed
 
     def test_bad_arguments(self):
@@ -427,10 +442,10 @@ class TestForkedShards:
     def patch_shard(monkeypatch, shard, action):
         real = revtour.theorems._check_shard
 
-        def patched(plan, max_n, at):
+        def patched(plan, at):
             if at == shard:
                 action()
-            return real(plan, max_n, at)
+            return real(plan, at)
 
         monkeypatch.setattr("revtour.theorems._check_shard", patched)
 
@@ -453,10 +468,10 @@ class TestForkedShards:
             import os
             import revtour.theorems as theorems
             real = theorems._check_shard
-            def dying(plan, max_n, shard):
+            def dying(plan, shard):
                 if shard == (1, 2):
                     os._exit(3)
-                return real(plan, max_n, shard)
+                return real(plan, shard)
             theorems._check_shard = dying
             os.cpu_count = lambda: 2
             try:
@@ -505,10 +520,10 @@ class TestForkedShards:
         log = tmp_path / "pids"
         real = revtour.theorems._check_shard
 
-        def logging(plan, max_n, shard):
+        def logging(plan, shard):
             with open(log, "a") as out:
                 out.write(f"{shard} {os.getpid()}\n")
-            return real(plan, max_n, shard)
+            return real(plan, shard)
 
         monkeypatch.setattr("revtour.theorems._check_shard", logging)
         verify_range(3, 6, 6, jobs=2)
@@ -532,11 +547,24 @@ class TestForkedShards:
             theorems.CHECKS, theorems._BY_LABEL = rows, {c.label: c for c in rows}
             os.cpu_count = lambda: 2
             plan = [(("theorem3",), theorems.EnumSpec(8, "partial-quasi"))]
-            print(len(pickle.dumps(theorems._check_shard(plan, None, (1, 2)))) > 64 * 1024)
+            print(len(pickle.dumps(theorems._check_shard(plan, (1, 2)))) > 64 * 1024)
             serial, forked = (theorems.verify_range(3, 8, 8, jobs=j).to_json() for j in (1, 2))
             del serial["ms"], forked["ms"]
             print(forked == serial, len(serial["violations"]))
         """) == "True\nTrue 4368\n"
+
+    def test_guard_override_reaches_the_children(self, monkeypatch):
+        # The guard is checked in the caller alone, before it forks.
+        forked = []
+        real_fork = os.fork
+        monkeypatch.setattr("os.fork", lambda: forked.append(None) or real_fork())
+        monkeypatch.setattr("revtour.enumeration.PARTIAL_ENUM_LIMIT", 5)
+        with pytest.raises(GuardError, match="n <= 5, got 6"):
+            verify_range(3, 6, 6, jobs=2)
+        assert forked == []
+        serial, sharded = (verify_range(3, 6, 6, jobs=j, max_n=6).to_json() for j in (1, 2))
+        del serial["ms"], sharded["ms"]
+        assert sharded == serial and serial["checked"] == 240 and len(forked) == 1
 
     def test_jobs_need_fork(self, monkeypatch):
         monkeypatch.delattr("os.fork")
@@ -562,13 +590,13 @@ class TestMirrorOrbits:
             return report_doc(theorem)
 
     @pytest.mark.parametrize("theorem", [1, 2, 3, "corollaries"])
-    def test_same_report_as_every_family(self, fake_pool, theorem):
+    def test_same_report_as_every_family(self, fake_shards, theorem):
         oracle = self.unreduced_doc(theorem)
         assert report_doc(theorem) == oracle
         assert report_doc(theorem, jobs=2) == oracle
-        assert fake_pool == [2]
+        assert fake_shards == [2]
 
-    def test_same_report_with_a_planted_bug(self, monkeypatch, fake_pool):
+    def test_same_report_with_a_planted_bug(self, monkeypatch, fake_shards):
         real = revtour.theorems._theorem3_conditions
 
         def flipped_c2(n, shape):
@@ -579,7 +607,7 @@ class TestMirrorOrbits:
         oracles = {theorem: self.unreduced_doc(theorem) for theorem in (3, "corollaries")}
         for theorem, oracle in oracles.items():
             assert report_doc(theorem) == oracle
-            # Each worker files its own shard's instances; the merge is the same.
+            # Each shard files its own instances; the merge is the same.
             assert report_doc(theorem, jobs=2) == oracle
             assert report_doc(theorem, jobs=3) == oracle
         # Hundreds filed, from orbits of two families and from self-mirror ones.
@@ -595,9 +623,7 @@ class TestLeastPairOrbitTest:
     def test_keeps_the_sorted_image_choice(self, kind):
         plan = [(("row",), EnumSpec(n, kind)) for n in range(1, 11)]
         for shard in ((0, 1), (1, 3)):
-            assert list(_orbit_tasks(plan, None, shard)) == list(
-                orbit_tasks_by_mirror(plan, None, shard)
-            )
+            assert list(_orbit_tasks(plan, shard)) == list(orbit_tasks_by_mirror(plan, shard))
 
 
 class TestFiledOnlyInstances:
