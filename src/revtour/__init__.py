@@ -22,18 +22,13 @@ from .core import (
 from .pairs import (
     PairFamily,
     Pairing,
-    QuasiAnatomy,
     QuasiPairing,
-    anatomy,
     classify,
     components,
     is_irreducible_pairing,
     is_irreducible_partition,
     is_irreducible_quasi,
-    mates,
     mirrored,
-    partner,
-    support,
 )
 from .comodules import (
     ComoduleFamily,
@@ -56,11 +51,8 @@ from .enumeration import (
 from .theorems import (
     TheoremInstance,
     VerificationReport,
-    corollaries_range,
-    corollary_checks,
     theorem1_sides,
     theorem2_sides,
-    theorem3_check,
     theorem3_conditions,
     verify_range,
 )

@@ -18,10 +18,8 @@ by (i, j); the empty family serializes to the empty string.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _partners(pairs: Iterable[tuple[int, int]], hub: int) -> tuple[int, int]:
@@ -76,7 +74,8 @@ class PairFamily:
 
     Pairs are stored deduplicated, each as (x, y) with x < y, sorted, with
     the support mask ``mask`` and the hub ``_hub`` (-1 for none) folded from
-    them as in ``enumeration._pair_walk``; the rest is computed on first use.
+    them as in ``enumeration._pair_walk``, and nothing else: ``support`` and
+    ``transversal`` are read off ``mask`` on each use.
     """
 
     n: int
@@ -125,21 +124,10 @@ class PairFamily:
         """Union of all pairs, read off the support mask."""
         return frozenset(v for v in range(self.n) if self.mask >> v & 1)
 
-    @cached_property
+    @property
     def transversal(self) -> bool:
         """True when the support meets every minimal co-module of the total order."""
         return is_order_transversal(self.n, self.mask)
-
-    @cached_property
-    def _anatomy(self) -> "QuasiAnatomy":
-        if classify(self) != "quasi-pairing":
-            raise ValueError("anatomy needs a quasi-pairing")
-        hub = self._hub
-        low, high = _partners(self.pairs, hub)
-        triple = tuple(sorted((hub, low, high)))
-        blocks = [pair for pair in self.pairs if hub not in pair]
-        insort(blocks, triple)
-        return QuasiAnatomy(hub, low, high, triple, tuple(blocks))
 
     def serialize(self) -> str:
         return _serialize(self.pairs)
@@ -181,26 +169,6 @@ class QuasiPairing(PairFamily):
         return None
 
 
-class QuasiAnatomy(NamedTuple):
-    """The distinguished vertices and merged partition of a quasi-pairing.
-
-    ``hub`` is the unique vertex lying in two pairs, ``low < high`` are
-    its partners, ``triple`` is the sorted 3-set {hub, low, high}, and
-    ``blocks`` is the merged partition of the support: all hub-free pairs
-    plus the triple, as sorted blocks in sorted order.
-    """
-
-    hub: int
-    low: int
-    high: int
-    triple: tuple[int, int, int]
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def support(family: PairFamily) -> frozenset[int]:
-    return family.support
-
-
 def classify(family: PairFamily) -> str:
     """One of "pairing", "quasi-pairing", or "neither", by support size."""
     s, p = family.mask.bit_count(), len(family.pairs)
@@ -209,26 +177,6 @@ def classify(family: PairFamily) -> str:
     if s == 2 * p - 1:
         return "quasi-pairing"
     return "neither"
-
-
-def mates(family: PairFamily, x: int) -> frozenset[int]:
-    """All vertices paired with x; empty off the support."""
-    return frozenset(v for pair in family.pairs if x in pair for v in pair if v != x)
-
-
-def partner(family: PairFamily, x: int) -> int:
-    """The unique vertex paired with x in a pairing."""
-    if classify(family) != "pairing":
-        raise ValueError("partner lookup needs a pairing")
-    found = mates(family, x)
-    if not found:
-        raise ValueError(f"vertex {x} is not covered by the pairing")
-    return next(iter(found))
-
-
-def anatomy(family: PairFamily) -> QuasiAnatomy:
-    """Hub, partners, triple, and merged partition of a quasi-pairing."""
-    return family._anatomy
 
 
 def components(family: PairFamily) -> list[tuple[int, ...]]:

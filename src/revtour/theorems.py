@@ -238,12 +238,6 @@ def _theorem3_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
     return not reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
-def theorem3_check(n: int, family: PairFamily) -> TheoremInstance:
-    """Indecomposability of the reversed tournament against conditions (C1)-(C4)."""
-    _warn_outside_hypothesis(n)
-    return check_instance("theorem3", n, family)
-
-
 def _corollary1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
     # Corollary 1 states theorem 1's equivalence with irreducibility on the left.
     indecomposable, irreducible, details = _theorem1_sides(n, shape, reversal)
@@ -487,13 +481,3 @@ def verify_range(
         filed.sort(key=lambda inst: (inst.n, rows.index(inst.label), inst.family.pairs))
     report.ms = (time.perf_counter() - start) * 1000
     return report
-
-
-def corollary_checks(n: int) -> VerificationReport:
-    """Check every corollary applicable at n over full-support families."""
-    return verify_range("corollaries", n, n)
-
-
-def corollaries_range(n_min: int, n_max: int) -> VerificationReport:
-    """Check every applicable corollary over a range of ambient sizes."""
-    return verify_range("corollaries", n_min, n_max)

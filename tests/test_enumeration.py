@@ -14,10 +14,10 @@ from revtour import (
     GuardError,
     Pairing,
     QuasiPairing,
-    anatomy,
     canonical_form,
     classify,
     census,
+    components,
     count_irreducible_pairings,
     enumerate_families,
     indecomposable_census,
@@ -212,8 +212,7 @@ class TestWalkBuiltFamilies:
                 assert classify(family) == classify(built)
                 if n >= 3:
                     assert family.transversal == built.transversal
-                if "quasi" in kind:
-                    assert anatomy(family) == anatomy(built)
+                assert components(family) == components(built)
 
     def test_walk_never_normalizes(self, monkeypatch):
         calls = []
@@ -251,8 +250,7 @@ class TestWalkBuiltFamilies:
             assert type(copy) is type(family)
             assert vars(copy) == vars(family)
             assert {"mask", "_hub"} <= vars(copy).keys()
-            if isinstance(family, QuasiPairing):
-                assert anatomy(copy) == anatomy(family)
+            assert components(copy) == components(family)
 
 
 class TestFilters:
@@ -294,7 +292,7 @@ class TestPrunedWalk:
             every = enumerate_families(EnumSpec(spec.n, kind, "all", spec.include_empty))
             swept = [
                 f.pairs for f in every
-                if sweep_by_prefix_sums(anatomy(f).blocks if spec.is_quasi else f.pairs)
+                if sweep_by_prefix_sums(components(f) if spec.is_quasi else f.pairs)
             ]
             assert [f.pairs for f in enumerate_families(spec)] == swept, spec
 

@@ -1,7 +1,7 @@
-"""Pair families, classification, anatomy, and irreducibility."""
+"""Pair families: the stored record, classification, the hub and its
+partners, components, and irreducibility."""
 
 import pickle
-from functools import cached_property
 
 import pytest
 
@@ -10,18 +10,15 @@ from revtour import (
     PairFamily,
     Pairing,
     QuasiPairing,
-    anatomy,
     classify,
     components,
     enumerate_families,
     is_irreducible_pairing,
     is_irreducible_partition,
     is_irreducible_quasi,
-    mates,
     mirrored,
-    partner,
-    support,
 )
+from revtour.pairs import _partners
 
 from oracles import (
     all_set_partitions,
@@ -29,6 +26,7 @@ from oracles import (
     naive_is_irreducible,
     sweep_by_prefix_sums,
     sweep_by_spans,
+    walk_tuple,
 )
 
 
@@ -38,9 +36,9 @@ class TestPairFamily:
         assert fam.pairs == ((0, 2), (1, 4))
 
     def test_support(self):
-        assert support(PairFamily(5, [(0, 2), (1, 4)])) == {0, 1, 2, 4}
-        assert support(PairFamily(5, [])) == frozenset()
-        assert support(PairFamily(5, [(0, 2), (2, 4), (1, 3)])) == {0, 1, 2, 3, 4}
+        assert PairFamily(5, [(0, 2), (1, 4)]).support == {0, 1, 2, 4}
+        assert PairFamily(5, []).support == frozenset()
+        assert PairFamily(5, [(0, 2), (2, 4), (1, 3)]).support == {0, 1, 2, 3, 4}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -93,91 +91,58 @@ class TestClassify:
         assert classify(PairFamily(4, [(0, 1), (0, 2), (0, 3)])) == "neither"
 
 
-class TestPartner:
-    def test_lookup(self):
-        fam = Pairing(5, [(0, 2), (1, 4)])
-        assert partner(fam, 2) == 0
-        assert partner(fam, 4) == 1
+class TestHubAndPartners:
+    """The stored hub, its partners from ``pairs._partners`` and the merged
+    partition from ``components``, against the sorting oracle."""
 
-    def test_involution_without_fixed_points(self):
-        fam = Pairing(8, [(0, 5), (1, 3), (2, 7)])
-        for x in support(fam):
-            assert partner(fam, x) != x
-            assert partner(fam, partner(fam, x)) == x
+    @staticmethod
+    def read(fam):
+        low, high = _partners(fam.pairs, fam._hub)
+        return fam._hub, low, high, components(fam)
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            partner(Pairing(5, [(0, 2), (1, 4)]), 3)
-        with pytest.raises(ValueError):
-            partner(PairFamily(5, [(0, 2), (2, 4)]), 0)
-
-
-class TestAnatomy:
     def test_hub_in_middle(self):
-        shape = anatomy(QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]))
-        assert (shape.hub, shape.low, shape.high) == (2, 0, 4)
-        assert shape.triple == (0, 2, 4)
-        assert shape.blocks == ((0, 2, 4), (1, 3))
+        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        assert self.read(fam) == (2, 0, 4, [(0, 2, 4), (1, 3)])
 
     def test_three_point_path(self):
-        shape = anatomy(QuasiPairing(3, [(0, 1), (1, 2)]))
-        assert (shape.hub, shape.low, shape.high) == (1, 0, 2)
-        assert shape.blocks == ((0, 1, 2),)
+        fam = QuasiPairing(3, [(0, 1), (1, 2)])
+        assert self.read(fam) == (1, 0, 2, [(0, 1, 2)])
 
     def test_hub_at_bottom(self):
-        shape = anatomy(QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
-        assert (shape.hub, shape.low, shape.high) == (0, 2, 4)
-        assert shape.blocks == ((0, 2, 4), (1, 3))
-
-    def test_rejects_non_quasi(self):
-        with pytest.raises(ValueError):
-            anatomy(PairFamily(5, [(0, 2), (1, 4)]))
-
-    def test_derived_once(self):
-        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        assert anatomy(fam) is anatomy(fam)
-        # The support is read off the support mask, which is kept.
-        assert fam.support == frozenset(range(5)) and "mask" in vars(fam)
+        fam = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
+        assert self.read(fam) == (0, 2, 4, [(0, 2, 4), (1, 3)])
 
     @pytest.mark.parametrize("kind", ["quasi", "partial-quasi"])
     def test_one_pass_matches_sorting(self, kind):
         for n in range(3, 11):
             for fam in enumerate_families(EnumSpec(n, kind)):
-                shape = anatomy(fam)
-                got = (shape.hub, shape.low, shape.high, shape.triple, shape.blocks)
-                assert got == anatomy_by_sorting(fam.pairs), fam
+                hub, low, high, blocks = self.read(fam)
+                triple = tuple(sorted((hub, low, high)))
+                want = anatomy_by_sorting(fam.pairs)
+                assert (hub, low, high, triple, tuple(blocks)) == want, fam
 
 
-class TestCachedSlot:
-    def test_family_slots_land_in_the_instance_dict(self):
-        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        # The constructor stores the support mask and the hub from the walk's fold.
-        assert vars(fam) == {"n": 5, "pairs": fam.pairs, "mask": 0b11111, "_hub": 2}
-        shape, transversal = anatomy(fam), fam.transversal
-        assert vars(fam)["_anatomy"] is shape and vars(fam)["transversal"] is transversal
-        slots = {
-            name for name, value in vars(PairFamily).items() if isinstance(value, cached_property)
-        }
-        assert slots == {"transversal", "_anatomy"}
+class TestFamilyRecord:
+    """A family stores the walk's record (n, pairs, mask, hub) and nothing
+    else: reading it leaves the instance dict as it was built."""
 
-    def test_walk_built_family_survives_pickling(self):
-        fam = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))
-        shape = anatomy(fam)
-        back = pickle.loads(pickle.dumps(fam))
-        assert type(back) is QuasiPairing and back == fam
-        assert vars(back) == vars(fam) and anatomy(back) == shape
+    @staticmethod
+    def read_everything(fam):
+        judge = is_irreducible_quasi if fam._hub >= 0 else is_irreducible_pairing
+        return (
+            fam.transversal, fam.support, components(fam), fam.serialize(), classify(fam),
+            judge(fam),
+        )
 
-
-class TestMates:
-    def test_hub_has_two(self):
-        fam = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        assert mates(fam, 2) == {0, 4}
-        assert mates(fam, 1) == {3}
-        assert mates(fam, 5 - 1) == {2}
-
-    def test_off_support_empty(self):
-        fam = PairFamily(6, [(0, 2), (2, 4), (1, 3)])
-        assert mates(fam, 5) == frozenset()
+    def test_reading_a_family_adds_nothing_to_it(self):
+        walked = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))
+        by_hand = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
+        for fam in (by_hand, walked, Pairing(6, [(0, 2), (1, 4)])):
+            record = dict(zip(("n", "pairs", "mask", "_hub"), (fam.n, *walk_tuple(fam.pairs))))
+            for copy in (fam, pickle.loads(pickle.dumps(fam))):
+                assert type(copy) is type(fam) and copy == fam
+                assert self.read_everything(copy) == self.read_everything(fam)
+                assert vars(copy) == record, copy
 
 
 class TestComponents:
@@ -266,7 +231,7 @@ class TestIrreduciblePairing:
 
         for matching in all_matchings(range(8)):
             fam = Pairing(8, matching)
-            want = naive_is_irreducible(support(fam), fam.pairs)
+            want = naive_is_irreducible(fam.support, fam.pairs)
             assert is_irreducible_pairing(fam) == want
 
 
@@ -283,7 +248,7 @@ class TestIrreducibleQuasi:
 
         for pairs in all_quasi_pairings(range(7)):
             fam = QuasiPairing(7, pairs)
-            want = naive_is_irreducible(support(fam), anatomy(fam).blocks)
+            want = naive_is_irreducible(fam.support, components(fam))
             assert is_irreducible_quasi(fam) == want
 
 
@@ -299,7 +264,7 @@ def test_family_sweep_is_the_partition_test_to_nine_points():
         ("partial-quasi", is_irreducible_quasi),
     ):
         for fam in enumerate_families(EnumSpec(9, kind)):
-            blocks = anatomy(fam).blocks if kind == "partial-quasi" else fam.pairs
+            blocks = components(fam) if kind == "partial-quasi" else fam.pairs
             want = naive_is_irreducible(fam.support, blocks)
             assert sweep_by_prefix_sums(blocks) == sweep_by_spans(blocks) == want, fam
             assert judge(fam) == is_irreducible_partition(fam.support, blocks) == want, fam

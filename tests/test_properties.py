@@ -9,7 +9,6 @@ from revtour import (
     Pairing,
     Tournament,
     all_modules_bruteforce,
-    anatomy,
     classify,
     components,
     dual,
@@ -19,14 +18,13 @@ from revtour import (
     is_irreducible_partition,
     is_irreducible_quasi,
     is_module,
-    mates,
     mirrored,
     module_closure,
     subtournament,
 )
 from revtour.core import _out_rows, is_indecomposable_rows, module_rows, pair_count
 
-from oracles import sweep_by_spans
+from oracles import anatomy_by_sorting, sweep_by_spans
 
 
 @st.composite
@@ -219,17 +217,19 @@ def test_quasi_components_equal_merged_partition():
     # enumerated quasi-pairing with support up to 9 points.
     for n in range(3, 10):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            assert components(family) == list(anatomy(family).blocks)
+            assert components(family) == list(anatomy_by_sorting(family.pairs)[4])
 
 
 def test_hub_uniqueness_on_enumerated_quasis():
     for n in range(3, 8):
         for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-            doubled = [v for v in family.support if len(mates(family, v)) == 2]
-            assert doubled == [anatomy(family).hub]
-            for v in family.support:
-                if v != doubled[0]:
-                    assert len(mates(family, v)) == 1
+            degree = dict.fromkeys(family.support, 0)
+            for pair in family.pairs:
+                for v in pair:
+                    degree[v] += 1
+            doubled = [v for v, d in degree.items() if d == 2]
+            assert doubled == [anatomy_by_sorting(family.pairs)[0]] == [family._hub]
+            assert sorted(degree.values()) == [1] * (len(degree) - 1) + [2]
 
 
 def test_mirroring_preserves_quasi_irreducibility_exhaustively():

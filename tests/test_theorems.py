@@ -20,9 +20,6 @@ from revtour import (
     PairFamily,
     Pairing,
     QuasiPairing,
-    anatomy,
-    corollaries_range,
-    corollary_checks,
     delete_vertex,
     enumerate_families,
     is_indecomposable,
@@ -31,7 +28,6 @@ from revtour import (
     reverse_pairs,
     theorem1_sides,
     theorem2_sides,
-    theorem3_check,
     theorem3_conditions,
     transitive,
     verify_range,
@@ -50,6 +46,7 @@ from revtour.theorems import (
 )
 
 from oracles import (
+    anatomy_by_sorting,
     orbit_tasks_by_mirror,
     reduced_c4_by_sets,
     theorem3_conditions_by_sets,
@@ -107,11 +104,12 @@ class TestTheorem2:
         for n in range(3, 10):
             whole = (1 << n) - 1
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                rows, shape = reversal_rows(n, family.pairs), anatomy(family)
+                rows = reversal_rows(n, family.pairs)
+                _, low, high, *_ = anatomy_by_sorting(family.pairs)
                 assert check_instance("theorem2", n, family).details == {
                     "whole": is_indecomposable_rows(rows, whole),
-                    "drop_low": is_indecomposable_rows(rows, whole ^ 1 << shape.low),
-                    "drop_high": is_indecomposable_rows(rows, whole ^ 1 << shape.high),
+                    "drop_low": is_indecomposable_rows(rows, whole ^ 1 << low),
+                    "drop_high": is_indecomposable_rows(rows, whole ^ 1 << high),
                 }, family
 
     def test_converse_can_fail_at_five(self):
@@ -154,7 +152,8 @@ class TestTheorem3ConditionOracle:
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
             *conditions, adjacent = _theorem3_conditions(n, _family_shape("corollary3", n, family))
-            assert (*conditions, _reduced_c4(n, anatomy(family).hub, adjacent)) == (
+            hub = anatomy_by_sorting(family.pairs)[0]
+            assert (*conditions, _reduced_c4(n, hub, adjacent)) == (
                 *theorem3_conditions_by_sets(n, family.pairs),
                 reduced_c4_by_sets(n, family.pairs),
             ), family
@@ -162,12 +161,12 @@ class TestTheorem3ConditionOracle:
 
 class TestTheorem3Check:
     def test_indecomposable_instance(self):
-        inst = theorem3_check(5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
+        inst = check_instance("theorem3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)]))
         assert inst.lhs is True and inst.rhs is True
 
     def test_decomposable_instance(self):
         family = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        inst = theorem3_check(5, family)
+        inst = check_instance("theorem3", 5, family)
         assert inst.lhs is False and inst.rhs is False
         assert inst.details["c3"] is False
         assert is_module(reverse_pairs(transitive(5), family), {0, 3})
@@ -175,7 +174,7 @@ class TestTheorem3Check:
     def test_adjacent_partners_break_c2(self):
         # Hub partners one apart force the module {low, high}.
         family = QuasiPairing(5, [(0, 2), (1, 2)])
-        inst = theorem3_check(5, family)
+        inst = check_instance("theorem3", 5, family)
         assert inst.lhs is False and inst.rhs is False
         assert inst.details["c2"] is False
         assert is_module(reverse_pairs(transitive(5), family), {0, 1})
@@ -208,11 +207,11 @@ class TestRowPath:
         for family in enumerate_families(EnumSpec(n, "partial-pairing")):
             assert check_instance("theorem1", n, family).lhs == indecomposable(family)
         for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-            shape = anatomy(family)
+            _, low, high, *_ = anatomy_by_sorting(family.pairs)
             assert check_instance("theorem2", n, family).details == {
                 "whole": indecomposable(family),
-                "drop_low": indecomposable(family, shape.low),
-                "drop_high": indecomposable(family, shape.high),
+                "drop_low": indecomposable(family, low),
+                "drop_high": indecomposable(family, high),
             }, family
             assert check_instance("theorem3", n, family).lhs == indecomposable(family)
 
@@ -688,19 +687,19 @@ class TestFiledOnlyInstances:
 
 class TestCorollaries:
     def test_even_size_checks_full_pairings(self):
-        report = corollary_checks(6)
+        report = verify_range("corollaries", 6, 6)
         assert report.passed and report.checked == 15
 
     def test_odd_size_checks_full_quasis(self):
-        assert corollary_checks(5).checked == 30
-        assert corollary_checks(7).checked == 630
+        assert verify_range("corollaries", 5, 5).checked == 30
+        assert verify_range("corollaries", 7, 7).checked == 630
 
     def test_below_thresholds_checks_nothing(self):
-        assert corollary_checks(4).checked == 0
-        assert corollary_checks(3).checked == 0
+        assert verify_range("corollaries", 4, 4).checked == 0
+        assert verify_range("corollaries", 3, 3).checked == 0
 
     def test_range_merge(self):
-        merged = corollaries_range(5, 6)
+        merged = verify_range("corollaries", 5, 6)
         assert merged.passed and merged.checked == 45
 
 
@@ -768,7 +767,6 @@ class TestSizeMismatch:
         (theorem1_sides, PAIRING6),
         (theorem2_sides, QUASI6),
         (theorem3_conditions, QUASI6),
-        (theorem3_check, QUASI6),
         *[
             (partial(check_instance, c.label), PAIRING6 if "pairing" in c.kind else QUASI6)
             for c in CHECKS
@@ -819,7 +817,7 @@ class TestInvariants:
     def test_c4_endpoint(self, monkeypatch):
         # (C4) needs both neighbours of the hub in the support, which no
         # hub at an end of 0..n-1 has.  A hub that compares equal to every
-        # vertex, the ends included, stands in for a broken anatomy.
+        # vertex, the ends included, stands in for a broken hub.
         class EveryVertex(int):
             def __eq__(self, other):
                 return True
