@@ -122,9 +122,9 @@ class TestHubAndPartners:
                 assert (hub, low, high, triple, tuple(blocks)) == want, fam
 
 
-class TestFamilyRecord:
-    """A family stores the walk's record (n, pairs, mask, hub) and nothing
-    else: reading it leaves the instance dict as it was built."""
+class TestCachedSlot:
+    """No slot is cached: a family stores the walk's record (n, pairs, mask,
+    hub) and nothing else, so reading it leaves the instance dict as built."""
 
     @staticmethod
     def read_everything(fam):
@@ -134,15 +134,25 @@ class TestFamilyRecord:
             judge(fam),
         )
 
-    def test_reading_a_family_adds_nothing_to_it(self):
-        walked = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))
-        by_hand = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        for fam in (by_hand, walked, Pairing(6, [(0, 2), (1, 4)])):
-            record = dict(zip(("n", "pairs", "mask", "_hub"), (fam.n, *walk_tuple(fam.pairs))))
-            for copy in (fam, pickle.loads(pickle.dumps(fam))):
-                assert type(copy) is type(fam) and copy == fam
-                assert self.read_everything(copy) == self.read_everything(fam)
-                assert vars(copy) == record, copy
+    @staticmethod
+    def record(fam):
+        return dict(zip(("n", "pairs", "mask", "_hub"), (fam.n, *walk_tuple(fam.pairs))))
+
+    def test_family_slots_land_in_the_instance_dict(self):
+        for fam in (QuasiPairing(5, [(0, 2), (2, 4), (1, 3)]), Pairing(6, [(0, 2), (1, 4)])):
+            assert vars(fam) == self.record(fam)
+            self.read_everything(fam)
+            assert vars(fam) == self.record(fam), fam
+        assert vars(QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])) == {
+            "n": 5, "pairs": ((0, 2), (1, 3), (2, 4)), "mask": 0b11111, "_hub": 2,
+        }
+
+    def test_walk_built_family_survives_pickling(self):
+        fam = next(iter(enumerate_families(EnumSpec(7, "partial-quasi"))))
+        for copy in (fam, pickle.loads(pickle.dumps(fam))):
+            assert type(copy) is QuasiPairing and copy == fam
+            assert self.read_everything(copy) == self.read_everything(fam)
+            assert vars(copy) == self.record(fam), copy
 
 
 class TestComponents:

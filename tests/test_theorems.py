@@ -33,7 +33,7 @@ from revtour import (
     verify_range,
 )
 from revtour.core import is_indecomposable_rows, reversal_rows
-from revtour.pairs import mirror_pairs
+from revtour.pairs import _same_size, mirror_pairs
 from revtour.theorems import (
     CHECKS,
     TheoremInstance,
@@ -767,6 +767,7 @@ class TestSizeMismatch:
         (theorem1_sides, PAIRING6),
         (theorem2_sides, QUASI6),
         (theorem3_conditions, QUASI6),
+        (_same_size, QUASI6),
         *[
             (partial(check_instance, c.label), PAIRING6 if "pairing" in c.kind else QUASI6)
             for c in CHECKS
