@@ -14,6 +14,7 @@ with i < j, character '1' meaning the arc i -> j is present.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .pairs import _normalize
@@ -208,13 +209,19 @@ def _out_rows(t: Tournament) -> list[int]:
     return rows
 
 
+@cache
+def _order_rows(n: int) -> tuple[int, ...]:
+    """Out-rows of the total order on 0..n-1: x beats every y > x."""
+    return tuple((1 << n) - (2 << x) for x in range(n))
+
+
 def reversal_rows(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Out-rows of T(n, F): the total order on 0..n-1 with each pair of F reversed.
 
     Bit u of rows[v] means arc v -> u.  The pairs must be distinct and
     lie in 0..n-1, as a ``PairFamily`` over n stores them.
     """
-    rows = [(1 << n) - (2 << x) for x in range(n)]
+    rows = list(_order_rows(n))
     for x, y in pairs:
         rows[x] ^= 1 << y
         rows[y] ^= 1 << x

@@ -30,11 +30,15 @@ matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 
 ``CHECKS`` is the single place where a check is defined: one row per
 theorem and corollary, giving its family kind, the ambient sizes where
-it applies, its two sides and its filing rule.  One driver,
-``verify_range``, runs the rows of a theorem id or of "corollaries".
-It checks the enumeration guard for its whole plan before any work,
-reads the pair walk's ``(pairs, mask, hub)`` tuples, and every row of a
-family's kind reads one ``Shape`` derived from them once.
+it applies, its two sides, its named conditions and its filing rule.
+One driver, ``verify_range``, runs the rows of a theorem id or of
+"corollaries".  It checks the enumeration guard for its whole plan
+before any work, reads the pair walk's ``(pairs, mask, hub)`` tuples,
+and every row of a family's kind reads one ``Shape`` derived from them
+once.  Each side is a conjunction or disjunction evaluated in order of
+cost, bit tests, then irreducibility, then module searches, and stops
+as soon as its truth value is known; the conditions one by one are
+computed only for a filed row.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
@@ -79,7 +83,7 @@ from .pairs import (
 # The characterizations are stated for ground sets of at least 5 vertices.
 CHARACTERIZATION_MIN_N = 5
 
-Sides = tuple[bool, bool, dict[str, bool]]
+Sides = tuple[bool, bool]
 # What every row reads of a family: its sorted pairs, support mask, hub, the
 # hub's partners low < high (all three -1 without a hub) and transversality.
 Shape = tuple[tuple[tuple[int, int], ...], int, int, int, int, bool]
@@ -159,21 +163,24 @@ def _shape(n: int, pairs: tuple, mask: int, hub: int) -> Shape:
 
 def _theorem1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
     pairs, mask, *_, transversal = shape
-    irreducible = _irreducible(mask, pairs)
-    return not reversal[1], irreducible and transversal, {
-        "irreducible": irreducible, "transversal": transversal
-    }
+    return not reversal[1], transversal and _irreducible(mask, pairs)
+
+
+def _theorem1_details(n: int, shape: Shape, reversal: Reversal) -> dict[str, bool]:
+    pairs, mask, *_, transversal = shape
+    return {"irreducible": _irreducible(mask, pairs), "transversal": transversal}
 
 
 def _theorem2_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
-    pairs, mask, _, low, high, transversal = shape
-    whole = not reversal[1]
-    drop_low = _deletion_indecomposable(n, reversal, low)
-    drop_high = _deletion_indecomposable(n, reversal, high)
-    lhs = transversal and _irreducible(mask, [*pairs, (low, high)])
-    return lhs, whole or drop_low or drop_high, {
-        "whole": whole, "drop_low": drop_low, "drop_high": drop_high
-    }
+    low, high = shape[3:5]
+    return _c1(shape), not reversal[1] or (
+        _deletion_indecomposable(n, reversal, low) or _deletion_indecomposable(n, reversal, high)
+    )
+
+
+def _theorem2_details(n: int, shape: Shape, reversal: Reversal) -> dict[str, bool]:
+    drop_low, drop_high = (_deletion_indecomposable(n, reversal, d) for d in shape[3:5])
+    return {"whole": not reversal[1], "drop_low": drop_low, "drop_high": drop_high}
 
 
 def _deletion_indecomposable(n: int, reversal: Reversal, d: int) -> bool:
@@ -187,13 +194,13 @@ def _deletion_indecomposable(n: int, reversal: Reversal, d: int) -> bool:
 def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(indecomposable, irreducible-transversal) for a partial pairing."""
     _warn_outside_hypothesis(n)
-    return _sides(("theorem1",), n, _family_shape("theorem1", n, family))[0][:2]
+    return (inst := check_instance("theorem1", n, family)).lhs, inst.rhs
 
 
 def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
     """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
     _warn_outside_hypothesis(n)
-    return _sides(("theorem2",), n, _family_shape("theorem2", n, family))[0][:2]
+    return (inst := check_instance("theorem2", n, family)).lhs, inst.rhs
 
 
 def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
@@ -204,13 +211,20 @@ def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, b
     on the bit mask of such pairs' least ends.
     """
     _warn_outside_hypothesis(n)
-    return _theorem3_conditions(n, _family_shape("theorem3", n, family))[:4]
+    shape = _family_shape("theorem3", n, family)
+    return _c1(shape), *_theorem3_conditions(n, shape)[:3]
 
 
-def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, bool, int]:
-    """(C1)-(C4), then the bit mask of x over the family's pairs {x, x + 1}."""
-    pairs, mask, hub, low, high, transversal = shape
-    c1 = transversal and _irreducible(mask, [*pairs, (low, high)])
+def _c1(shape: Shape) -> bool:
+    """(C1), which is also theorem 2's lhs: the support is transversal and
+    the pairs, with the virtual pair {low, high} for the hub, are irreducible."""
+    pairs, mask, _, low, high, transversal = shape
+    return transversal and _irreducible(mask, [*pairs, (low, high)])
+
+
+def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, int]:
+    """(C2)-(C4), the bit tests, then the bit mask of x over the family's pairs {x, x + 1}."""
+    pairs, mask, hub, low, high, _ = shape
     c2 = high >= low + 2
     # Bit masks of x over the pairs {x, x + 1} and over the pairs {x, x + 2}.
     adjacent = spans2 = 0
@@ -226,22 +240,26 @@ def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, bool, 
     if c4 and adjacent and hub in (0, n - 1):
         # The neighbour requirement already rules out the endpoints.
         raise _invariant_broken(n, pairs, "(C4) holds with the hub at an endpoint")
-    return c1, c2, c3, c4, adjacent
+    return c2, c3, c4, adjacent
 
 
 def _theorem3_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
-    pairs, mask, hub, *_ = shape
-    c1, c2, c3, c4, adjacent = _theorem3_conditions(n, shape)
+    c2, c3, c4, adjacent = _theorem3_conditions(n, shape)
     # On full support corollary 3's reduced (C4) must agree with (C4).
-    if mask == (1 << n) - 1 and _reduced_c4(n, hub, adjacent) != c4:
-        raise _invariant_broken(n, pairs, "the reduced (C4) disagrees with (C4)")
-    return not reversal[1], c1 and c2 and c3 and c4, {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
+    if shape[1] == (1 << n) - 1 and _reduced_c4(n, shape[2], adjacent) != c4:
+        raise _invariant_broken(n, shape[0], "the reduced (C4) disagrees with (C4)")
+    return not reversal[1], c2 and c3 and c4 and _c1(shape)
+
+
+def _theorem3_details(n: int, shape: Shape, reversal: Reversal) -> dict[str, bool]:
+    c2, c3, c4, _ = _theorem3_conditions(n, shape)
+    return {"c1": _c1(shape), "c2": c2, "c3": c3, "c4": c4}
 
 
 def _corollary1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
     # Corollary 1 states theorem 1's equivalence with irreducibility on the left.
-    indecomposable, irreducible, details = _theorem1_sides(n, shape, reversal)
-    return irreducible, indecomposable, {"transversal": details["transversal"]}
+    indecomposable, irreducible = _theorem1_sides(n, shape, reversal)
+    return irreducible, indecomposable
 
 
 def _reduced_c4(n: int, hub: int, adjacent: int) -> bool:
@@ -254,12 +272,16 @@ class Check:
     """One row of the checker table.
 
     ``run`` is the ``verify_range`` theorem id whose runs include the row,
-    ``kind`` the enumerated family kind, ``applies`` the ambient sizes the
-    row is checked at, and ``sides`` returns (lhs, rhs, details) from the
-    size, the family's ``Shape`` and the ``Reversal`` that all rows checking
-    the family share.  At ``one_way_at`` only rhs => lhs is claimed: an
-    instance with lhs and not rhs there is recorded, not counted as a
-    violation.  Runs start at ``least_n`` or above: theorem 1 needs 3.
+    ``kind`` the enumerated family kind and ``applies`` the ambient sizes
+    the row is checked at.  ``sides`` returns (lhs, rhs) from the size, the
+    family's ``Shape`` and the ``Reversal`` that all rows checking the
+    family share, each side short-circuited in order of cost: bit tests,
+    then irreducibility, then module searches.  ``details`` returns every
+    condition the sides combine, by name; it runs only for a filed row,
+    its mirror twin and ``check_instance``.  At ``one_way_at`` only
+    rhs => lhs is claimed: an instance with lhs and not rhs there is
+    recorded, not counted as a violation.  Runs start at ``least_n`` or
+    above: theorem 1 needs 3.
     """
 
     run: int | str
@@ -267,21 +289,24 @@ class Check:
     kind: str
     applies: Callable[[int], bool]
     sides: Callable[[int, Shape, Reversal], Sides]
+    details: Callable[[int, Shape, Reversal], dict[str, bool]]
     one_way_at: int | None = None
     least_n: int = 0
 
 
 # A "corollaries" run files its rows in table order at each n.
 CHECKS = (
-    Check(1, "theorem1", "partial-pairing", lambda n: True, _theorem1_sides, least_n=3),
-    Check(2, "theorem2", "partial-quasi", lambda n: True, _theorem2_sides, one_way_at=5),
-    Check(3, "theorem3", "partial-quasi", lambda n: True, _theorem3_sides),
-    Check("corollaries", "corollary1", "pairing",
-          lambda n: n % 2 == 0 and n >= 6, _corollary1_sides),
-    Check("corollaries", "corollary3", "quasi",
-          lambda n: n % 2 == 1 and n >= 5, _theorem3_sides),
-    Check("corollaries", "corollary2", "quasi",
-          lambda n: n % 2 == 1 and n >= 7, _theorem2_sides),
+    Check(1, "theorem1", "partial-pairing", lambda n: True, _theorem1_sides, _theorem1_details,
+          least_n=3),
+    Check(2, "theorem2", "partial-quasi", lambda n: True, _theorem2_sides, _theorem2_details,
+          one_way_at=5),
+    Check(3, "theorem3", "partial-quasi", lambda n: True, _theorem3_sides, _theorem3_details),
+    Check("corollaries", "corollary1", "pairing", lambda n: n % 2 == 0 and n >= 6,
+          _corollary1_sides, lambda n, shape, reversal: {"transversal": shape[5]}),
+    Check("corollaries", "corollary3", "quasi", lambda n: n % 2 == 1 and n >= 5,
+          _theorem3_sides, _theorem3_details),
+    Check("corollaries", "corollary2", "quasi", lambda n: n % 2 == 1 and n >= 7,
+          _theorem2_sides, _theorem2_details),
 )
 _BY_LABEL = {check.label: check for check in CHECKS}
 
@@ -300,20 +325,26 @@ def _family_shape(label: str, n: int, family: PairFamily) -> Shape:
     return _shape(n, family.pairs, family.mask, family._hub)
 
 
-def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
-    """Evaluate the table row ``label`` on one family over 0..n-1."""
-    sides = _sides((label,), n, _family_shape(label, n, family))[0]
-    return TheoremInstance(n, family, *sides, n >= CHARACTERIZATION_MIN_N, label)
-
-
-def _sides(labels: tuple[str, ...], n: int, shape: Shape) -> list[Sides]:
-    """The sides of the named rows, all of one kind, which share T(n, F) and a module of it."""
+def _reversal(label: str, n: int, shape: Shape) -> Reversal:
+    """The ``Reversal`` that every row of ``label``'s kind reads for this shape."""
     pairs, *_, transversal = shape
-    if not transversal and not _BY_LABEL[labels[0]].kind.startswith("partial"):
+    if not transversal and not _BY_LABEL[label].kind.startswith("partial"):
         raise _invariant_broken(n, pairs, "full support misses a minimal co-module")
     rows = reversal_rows(n, pairs)
-    reversal = rows, module_rows(rows, (1 << n) - 1)
-    return [_BY_LABEL[label].sides(n, shape, reversal) for label in labels]
+    return rows, module_rows(rows, (1 << n) - 1)
+
+
+def _instance(label: str, n: int, family: PairFamily, shape: Shape, reversal: Reversal):
+    """The ``TheoremInstance`` of the row ``label`` on a family, with its details."""
+    check = _BY_LABEL[label]
+    sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
+    return TheoremInstance(n, family, *sides, details, n >= CHARACTERIZATION_MIN_N, label)
+
+
+def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
+    """Evaluate the table row ``label`` on one family over 0..n-1."""
+    shape = _family_shape(label, n, family)
+    return _instance(label, n, family, shape, _reversal(label, n, shape))
 
 
 def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
@@ -334,21 +365,25 @@ def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
 
 def _check_orbit(task: Task) -> tuple[int, list[TheoremInstance]]:
     """Rows checked on one mirror orbit, and instances made for the rows filed
-    only: a family is built only for them, and for their mirror twin."""
+    only: a family and details are built only for them, and for their mirror twin."""
     labels, n, (pairs, mask, hub), paired = task
-    rows = zip(labels, _sides(labels, n, _shape(n, pairs, mask, hub)))
-    filed = [(label, s) for label, s in rows if s[0] != s[1] and n >= CHARACTERIZATION_MIN_N]
-    if not filed:
+    shape = _shape(n, pairs, mask, hub)
+    reversal = _reversal(labels[0], n, shape)
+    filed = [
+        label for label in labels if (s := _BY_LABEL[label].sides(n, shape, reversal))[0] != s[1]
+    ]
+    if not filed or n < CHARACTERIZATION_MIN_N:
         return len(labels) * (1 + paired), []
     family = (QuasiPairing if hub >= 0 else Pairing)._from_walk(n, pairs, mask, hub)
-    instances = [TheoremInstance(n, family, *s, label=label) for label, s in filed]
+    instances = [_instance(label, n, family, shape, reversal) for label in filed]
     if paired:
-        kept = tuple(label for label, _ in filed)
         image = mirrored(family)
-        twins = _sides(kept, n, _shape(n, image.pairs, image.mask, image._hub))
-        if [s[:2] for s in twins] != [s[:2] for _, s in filed]:
+        shape = _shape(n, image.pairs, image.mask, image._hub)
+        reversal = _reversal(labels[0], n, shape)
+        twins = [_instance(label, n, image, shape, reversal) for label in filed]
+        if [(i.lhs, i.rhs) for i in twins] != [(i.lhs, i.rhs) for i in instances]:
             raise _invariant_broken(n, pairs, "its mirror image has other sides")
-        instances += [TheoremInstance(n, image, *s, label=label) for label, s in zip(kept, twins)]
+        instances += twins
     return len(labels) * (1 + paired), instances
 
 

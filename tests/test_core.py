@@ -386,6 +386,52 @@ class TestModuleRows:
         assert module_rows(reversal_rows(5, [(0, 2), (1, 4)]), 0b11111) == 0
 
 
+class TestPairDeletion:
+    """The graph layer against Schmerl and Trotter's theorems on critically
+    indecomposable structures (Discrete Math. 113, 1993), over the reversed
+    orders T(n, F) of every partial pairing and partial quasi-pairing.  Each
+    deletion is judged by the all-pairs test, not by ``module_rows``."""
+
+    @staticmethod
+    def indecomposable(n):
+        """(pairs, rows) of each T(n, F) that ``is_indecomposable_rows`` finds
+        indecomposable, which the all-pairs test must confirm."""
+        whole = (1 << n) - 1
+        found = []
+        for kind in ("partial-pairing", "partial-quasi"):
+            for family in enumerate_families(EnumSpec(n, kind)):
+                rows = reversal_rows(n, family.pairs)
+                if is_indecomposable_rows(rows, whole):
+                    assert indecomposable_by_pairs(rows, whole), family
+                    found.append((family.serialize(), rows))
+        return found
+
+    @pytest.mark.parametrize("n, count", [(7, 167), (8, 647), (9, 2707)])
+    def test_two_vertices_leave_an_indecomposable_tournament(self, n, count):
+        # On at least 7 vertices, some T - {x, y} with x != y is indecomposable.
+        whole = (1 << n) - 1
+        found = self.indecomposable(n)
+        assert len(found) == count
+        for pairs, rows in found:
+            assert any(
+                indecomposable_by_pairs(rows, whole ^ 1 << x ^ 1 << y)
+                for x, y in combinations(range(n), 2)
+            ), pairs
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_critical_reversals(self, n):
+        # Critical: indecomposable, and T - x decomposable for every vertex x.
+        whole = (1 << n) - 1
+        found = self.indecomposable(n)
+        critical = [
+            pairs for pairs, rows in found
+            if not any(indecomposable_by_pairs(rows, whole ^ 1 << x) for x in range(n))
+        ]
+        # No tournament on 4 vertices is indecomposable, so at n = 5 every one is critical.
+        want = {5: [pairs for pairs, _ in found], 7: ["0-2,1-4,1-6", "0-5,2-5,4-6", "0-3,2-4,3-6"]}
+        assert found and sorted(critical) == sorted(want.get(n, []))
+
+
 class TestAllModulesBruteforce:
     def test_chain3_listing(self):
         got = all_modules_bruteforce(transitive(3))

@@ -32,21 +32,25 @@ from revtour import (
     transitive,
     verify_range,
 )
-from revtour.core import is_indecomposable_rows, reversal_rows
+from revtour.core import is_indecomposable_rows, module_rows, reversal_rows
 from revtour.pairs import _same_size, mirror_pairs
 from revtour.theorems import (
     CHECKS,
+    _BY_LABEL,
     TheoremInstance,
+    _c1,
     _check_orbit,
     _family_shape,
     _orbit_tasks,
     _reduced_c4,
+    _reversal,
     _theorem3_conditions,
     check_instance,
 )
 
 from oracles import (
     anatomy_by_sorting,
+    indecomposable_by_pairs,
     orbit_tasks_by_mirror,
     reduced_c4_by_sets,
     theorem3_conditions_by_sets,
@@ -142,8 +146,8 @@ class TestTheorem3ConditionOracle:
         for n in range(3, 10):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
                 shape = _family_shape("theorem3", n, family)
-                assert _theorem3_conditions(n, shape)[:4] == theorem3_conditions_by_sets(
-                    n, family.pairs
+                assert (_c1(shape), *_theorem3_conditions(n, shape)[:3]) == (
+                    theorem3_conditions_by_sets(n, family.pairs)
                 ), family
                 seen += 1
         assert seen == 24_885
@@ -151,9 +155,10 @@ class TestTheorem3ConditionOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            *conditions, adjacent = _theorem3_conditions(n, _family_shape("corollary3", n, family))
+            shape = _family_shape("corollary3", n, family)
+            *conditions, adjacent = _theorem3_conditions(n, shape)
             hub = anatomy_by_sorting(family.pairs)[0]
-            assert (*conditions, _reduced_c4(n, hub, adjacent)) == (
+            assert (_c1(shape), *conditions, _reduced_c4(n, hub, adjacent)) == (
                 *theorem3_conditions_by_sets(n, family.pairs),
                 reduced_c4_by_sets(n, family.pairs),
             ), family
@@ -214,6 +219,44 @@ class TestRowPath:
                 "drop_high": indecomposable(family, high),
             }, family
             assert check_instance("theorem3", n, family).lhs == indecomposable(family)
+
+
+class TestShortCircuitedSides:
+    """Each row's short-circuited ``sides`` against its ``details``, the
+    all-pairs test and the set reading of (C1)-(C4), on every family of the
+    row's kind: both members of each mirror orbit."""
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("label", [c.label for c in CHECKS])
+    def test_sides_are_the_details_combined(self, label, n):
+        check, whole = _BY_LABEL[label], (1 << n) - 1
+        for family in enumerate_families(EnumSpec(n, check.kind)):
+            shape = _family_shape(label, n, family)
+            reversal = _reversal(label, n, shape)
+            sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
+            rows, pairs = reversal[0], family.pairs
+            indecomposable = indecomposable_by_pairs(rows, whole)
+            if label == "theorem1":
+                combined = indecomposable, details["irreducible"] and details["transversal"]
+            elif label == "corollary1":
+                assert details == {"transversal": True}, family
+                theorem1 = _BY_LABEL["theorem1"].details(n, shape, reversal)
+                combined = theorem1["irreducible"] and theorem1["transversal"], indecomposable
+            elif label in ("theorem2", "corollary2"):
+                _, low, high, *_ = anatomy_by_sorting(pairs)
+                assert details == {
+                    "whole": indecomposable,
+                    "drop_low": indecomposable_by_pairs(rows, whole ^ 1 << low),
+                    "drop_high": indecomposable_by_pairs(rows, whole ^ 1 << high),
+                }, family
+                combined = theorem3_conditions_by_sets(n, pairs)[0], (
+                    details["whole"] or details["drop_low"] or details["drop_high"]
+                )
+            else:
+                c1, c2, c3, c4 = theorem3_conditions_by_sets(n, pairs)
+                assert details == {"c1": c1, "c2": c2, "c3": c3, "c4": c4}, family
+                combined = indecomposable, c1 and c2 and c3 and c4
+            assert sides == combined, family
 
 
 class TestConditionConsistency:
@@ -301,15 +344,29 @@ class TestVerifyRange:
 
             monkeypatch.setattr(f"revtour.theorems.{name}", counting)
 
+        # Per orbit, corollary 3 looks for a module M of T(9, Q), and corollary
+        # 2's rhs takes it.  Its deletions are tried, low then high, only when
+        # M is trivial; each is searched only when M - d, a module of
+        # T(9, Q) - d, is trivial there, and a deletion found indecomposable
+        # settles rhs.
+        whole, searches = (1 << 9) - 1, 0
+        for _, _, (pairs, _, _), _ in _orbit_tasks([((), EnumSpec(9, "quasi"))]):
+            rows = reversal_rows(9, pairs)
+            module = module_rows(rows, whole)
+            for d in anatomy_by_sorting(pairs)[1:3] if module else ():
+                left = module & (rest := whole ^ 1 << d)
+                if left & left - 1 and left != rest:
+                    continue
+                searches += 1
+                if is_indecomposable_rows(rows, rest):
+                    break
         count("module_rows")
         count("is_indecomposable_rows")
         report = verify_range("corollaries", 9, 9)
-        # The 3,780 quasi-pairings of 9 points form 1,904 mirror orbits.  Per
-        # orbit, corollary 3 looks for a module of T(9, Q); corollary 2 takes
-        # it and tests a deletion only where the module does not settle it.
+        # The 3,780 quasi-pairings of 9 points form 1,904 mirror orbits.
         assert report.checked == 2 * 3780
-        assert calls["module_rows"] == [(1 << 9) - 1] * 1904
-        assert len(calls["is_indecomposable_rows"]) == 1653
+        assert calls["module_rows"] == [whole] * 1904
+        assert len(calls["is_indecomposable_rows"]) == searches
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
@@ -330,8 +387,8 @@ class TestVerifyRange:
         # their violations arrive interleaved; make every one a violation.
         patch_sides(
             monkeypatch,
-            corollary3=lambda n, shape, reversal: (True, False, {}),
-            corollary2=lambda n, shape, reversal: (False, True, {}),
+            corollary3=lambda n, shape, reversal: (True, False),
+            corollary2=lambda n, shape, reversal: (False, True),
         )
         serial = verify_range("corollaries", 5, 7)
         sharded = verify_range("corollaries", 5, 7, jobs=2)
@@ -353,7 +410,7 @@ class TestVerifyRange:
         (False, True, "violations"),
     ])
     def test_one_way_row_records_only_lhs_without_rhs(self, monkeypatch, lhs, rhs, filed):
-        patch_sides(monkeypatch, theorem2=lambda n, shape, reversal: (lhs, rhs, {}))
+        patch_sides(monkeypatch, theorem2=lambda n, shape, reversal: (lhs, rhs))
         report = verify_range(2, 5, 5)
         assert report.checked == 60 and len(getattr(report, filed)) == 60
 
@@ -540,7 +597,7 @@ class TestForkedShards:
             from dataclasses import replace
             import revtour.theorems as theorems
             rows = tuple(
-                replace(c, sides=lambda n, shape, reversal: (False, True, {}))
+                replace(c, sides=lambda n, shape, reversal: (False, True))
                 if c.label == "theorem3" else c for c in theorems.CHECKS
             )
             theorems.CHECKS, theorems._BY_LABEL = rows, {c.label: c for c in rows}
@@ -599,8 +656,8 @@ class TestMirrorOrbits:
         real = revtour.theorems._theorem3_conditions
 
         def flipped_c2(n, shape):
-            c1, c2, c3, c4, adjacent = real(n, shape)
-            return c1, not c2, c3, c4, adjacent
+            c2, c3, c4, adjacent = real(n, shape)
+            return not c2, c3, c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c2)
         oracles = {theorem: self.unreduced_doc(theorem) for theorem in (3, "corollaries")}
@@ -800,7 +857,7 @@ class TestRowKind:
 def not_mirror_invariant(n, shape, reversal):
     # The two sides differ on the family that the walk meets first in a
     # mirror orbit, and agree on its image.
-    return True, shape[0] > mirror_pairs(n, shape[0]), {}
+    return True, shape[0] > mirror_pairs(n, shape[0])
 
 
 def optimized_stdout(child):
@@ -852,8 +909,8 @@ class TestInvariants:
         real = revtour.theorems._theorem3_conditions
 
         def flipped_c4(n, shape):
-            c1, c2, c3, c4, adjacent = real(n, shape)
-            return c1, c2, c3, not c4, adjacent
+            c2, c3, c4, adjacent = real(n, shape)
+            return c2, c3, not c4, adjacent
 
         monkeypatch.setattr("revtour.theorems._theorem3_conditions", flipped_c4)
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,0-4,1-3'.*reduced"):
@@ -877,6 +934,35 @@ class TestInvariants:
         """)
         assert out.startswith("1 invariant broken at n=6, pairs '0-2,1-4,3-5'")
 
+    def test_c4_endpoint_raises_under_optimize_where_nothing_is_filed(self):
+        # Theorem 3 at n = 5 files no row, so only the sides see the broken hub.
+        out = optimized_stdout("""
+            import sys
+            import revtour.theorems as theorems
+
+            class EveryVertex(int):
+                def __eq__(self, other):
+                    return True
+
+                __hash__ = int.__hash__
+
+            real = theorems._shape
+
+            def every_vertex_hub(*args):
+                pairs, mask, hub, *rest = real(*args)
+                return pairs, mask, EveryVertex(hub), *rest
+
+            print(len(theorems.verify_range(3, 5, 5).violations))
+            theorems._shape = every_vertex_hub
+            try:
+                theorems.verify_range(3, 5, 5)
+            except RuntimeError as exc:
+                print(sys.flags.optimize, exc)
+        """)
+        assert out == (
+            "0\n1 invariant broken at n=5, pairs '0-1,1-2': (C4) holds with the hub at an endpoint\n"
+        )
+
     def test_mirror_invariant_raises_under_optimize(self):
         out = optimized_stdout("""
             import sys
@@ -885,7 +971,7 @@ class TestInvariants:
             from revtour.pairs import mirror_pairs
 
             def not_mirror_invariant(n, shape, reversal):
-                return True, shape[0] > mirror_pairs(n, shape[0]), {}
+                return True, shape[0] > mirror_pairs(n, shape[0])
 
             theorems.CHECKS = tuple(replace(c, sides=not_mirror_invariant) for c in theorems.CHECKS)
             theorems._BY_LABEL = {c.label: c for c in theorems.CHECKS}
