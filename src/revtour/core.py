@@ -241,18 +241,17 @@ def _is_module_mask(rows: list[int], n: int, mask: int) -> bool:
 
 def _closure_mask(rows: list[int], ground: int, mask: int) -> int:
     """Least module of the subtournament on ``ground`` containing the seed
-    mask (order-independent fixed point)."""
-    grew = True
-    while grew:
-        grew = False
-        rest = ground & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r = rows[low.bit_length() - 1] & mask
-            if r and r != mask:
-                mask |= low
-                grew = True
+    mask.  For v its least vertex, an outside u tells two members apart iff
+    x -> u and v -> u differ for some member x, as u -> x is not x -> u.  So
+    each member's row is XORed with v's once, and the outside ground
+    vertices where they differ join, each XORed in turn."""
+    v = mask & -mask
+    row, queue = rows[v.bit_length() - 1], mask ^ v
+    while queue:
+        low = queue & -queue
+        new = (rows[low.bit_length() - 1] ^ row) & ground & ~mask
+        mask |= new
+        queue ^= low | new
     return mask
 
 
@@ -265,10 +264,8 @@ def is_module(t: Tournament, members: Iterable[int]) -> bool:
 def module_closure(t: Tournament, seed: Iterable[int]) -> frozenset[int]:
     """Smallest module containing the seed, which must have at least 2 vertices.
 
-    Grows the seed by adding any vertex that distinguishes two current
-    members, until no vertex does.  The result is contained in every
-    module that contains the seed.
-    """
+    Each vertex it adds tells two members apart, so it lies in every module
+    that contains the seed."""
     mask = _vertex_mask(t.n, seed)
     if bin(mask).count("1") < 2:
         raise ValueError("module closure needs a seed of at least 2 vertices")
@@ -277,26 +274,28 @@ def module_closure(t: Tournament, seed: Iterable[int]) -> frozenset[int]:
 
 def _refined_part(rows: list[int], ground: int, pivot: int) -> int:
     """A nontrivial module of the ground that avoids the vertex bit
-    ``pivot``, or 0 when none does.  The ground less the pivot is split by
-    the ground's out-rows until no row splits a part without its vertex.
-    No module avoiding the pivot is ever split, and each final part is a
-    module, so the first part of two vertices or more is one."""
-    # One-vertex parts are dropped; a split re-queues its part.
-    parts, pending = [ground ^ pivot], ground
-    while parts and pending:
-        low = pending & -pending
-        pending ^= low
-        row = rows[low.bit_length() - 1]
-        split = []
-        for part in parts:
-            out = part & row
-            if part & low or not out or out == part:
-                split.append(part)
-            else:
-                pending |= part
-                split += [p for p in (out, part ^ out) if p & p - 1]
-        parts = split
-    return parts[0] if parts else 0
+    ``pivot``, or 0 when none does.  Each part of the ground less the pivot
+    carries the vertices not yet tried on it, at first the pivot; a row that
+    splits it into ``out`` and ``rest`` adds each to the other's mask.  No
+    module avoiding the pivot is split, so one-vertex pieces are dropped,
+    and the first part whose mask empties is returned."""
+    parts = [(ground ^ pivot, pivot)]
+    while parts:
+        part, untried = parts.pop()
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            out = part & rows[low.bit_length() - 1]
+            if out and out != part:
+                rest = part ^ out
+                if out & out - 1:
+                    parts.append((out, untried | rest))
+                if rest & rest - 1:
+                    parts.append((rest, untried | out))
+                break
+        else:
+            return part
+    return 0
 
 
 def module_rows(rows: list[int], ground: int) -> int:
@@ -305,9 +304,9 @@ def module_rows(rows: list[int], ground: int) -> int:
 
     For v < w the two least ground vertices, a nontrivial module holds
     both, and so their closure, or it avoids v or w, and the refinement
-    from that vertex finds one.  A screen comes first, as a shortcut: two
-    ground-consecutive vertices that no other one tells apart are a module.
-    """
+    from that vertex finds one.  The closure reads each member's row once
+    and the refinement tries each vertex once per part.  A screen comes first:
+    two ground-consecutive vertices that no other one tells apart are returned."""
     if ground.bit_count() < 3:
         return 0
     v = ground & -ground

@@ -133,6 +133,48 @@ def indecomposable_by_pairs(rows, ground) -> bool:
     return True
 
 
+def closure_by_rescan(rows, ground, mask):
+    """Least module of the subtournament on ``ground`` containing the seed
+    mask, rescanning every outside ground vertex after each growth until
+    none tells two members apart: ``revtour.core._closure_mask`` before the
+    one-pass closure.  Bit u of rows[v] means arc v -> u."""
+    grew = True
+    while grew:
+        grew = False
+        rest = ground & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = rows[low.bit_length() - 1] & mask
+            if r and r != mask:
+                mask |= low
+                grew = True
+    return mask
+
+
+def refined_part_by_rescan(rows, ground, pivot):
+    """A nontrivial module of the ground that avoids the vertex bit
+    ``pivot``, or 0 when none does: ``revtour.core._refined_part`` before
+    the per-part refinement.  The ground less the pivot is split by the
+    ground's out-rows until no row splits a part without its vertex; a
+    split re-queues its part, and one-vertex parts are dropped."""
+    parts, pending = [ground ^ pivot], ground
+    while parts and pending:
+        low = pending & -pending
+        pending ^= low
+        row = rows[low.bit_length() - 1]
+        split = []
+        for part in parts:
+            out = part & row
+            if part & low or not out or out == part:
+                split.append(part)
+            else:
+                pending |= part
+                split += [p for p in (out, part ^ out) if p & p - 1]
+        parts = split
+    return parts[0] if parts else 0
+
+
 def canonical_form_by_scan(t) -> str:
     """Least arc row over all n! relabelings, via the public arc test.
 

@@ -31,10 +31,38 @@ from revtour.core import (
     _refined_part,
     is_indecomposable_rows,
     module_rows,
+    pair_count,
     reversal_rows,
 )
 
-from oracles import indecomposable_by_pairs, modules_by_definition
+from oracles import (
+    closure_by_rescan,
+    indecomposable_by_pairs,
+    modules_by_definition,
+    refined_part_by_rescan,
+)
+
+
+def assert_kernels_match_rescans(rows, n, ground):
+    """The closure of every seed pair of the ground is the rescan's: the least
+    module holding a seed is unique.  On a ground of 3 vertices or more, the
+    refinement from each ground vertex finds a module exactly when the
+    rescan does, and what it returns avoids the pivot, has 2 vertices or
+    more and is a module of the subtournament on the ground."""
+    members = list(_mask_vertices(ground))
+    for x, y in combinations(members, 2):
+        seed = 1 << x | 1 << y
+        assert _closure_mask(rows, ground, seed) == closure_by_rescan(rows, ground, seed), seed
+    if len(members) < 3:
+        return
+    # Vertices off the ground, with empty rows, see every set alike.
+    inside = [r if ground >> v & 1 else 0 for v, r in enumerate(rows)]
+    for pivot in (1 << v for v in members):
+        part = _refined_part(rows, ground, pivot)
+        assert (part == 0) == (refined_part_by_rescan(rows, ground, pivot) == 0), pivot
+        if part:
+            assert not part & (pivot | ~ground) and part.bit_count() >= 2, pivot
+            assert _is_module_mask(inside, n, part), pivot
 
 
 def cycle3() -> Tournament:
@@ -384,6 +412,51 @@ class TestModuleRows:
         assert module_rows(reversal_rows(4, [(1, 3)]), 0b1111) == 0b1110
         assert module_rows(reversal_rows(4, [(0, 2), (1, 3)]), 0b1111) == 0b1001
         assert module_rows(reversal_rows(5, [(0, 2), (1, 4)]), 0b11111) == 0
+
+    def test_screen_comes_before_the_closure(self):
+        # {3, 4} are twins, but {0, 1, 2} is a 3-cycle, the closure of
+        # {v, w}: only the screen returns the twins.
+        rows = reversal_rows(5, [(0, 2)])
+        assert _closure_mask(rows, 0b11111, 0b00011) == 0b00111
+        assert module_rows(rows, 0b11111) == 0b11000
+
+
+class TestOnePassKernels:
+    """``_closure_mask`` and ``_refined_part`` against the scans they
+    replaced, which reread every outside vertex after each change."""
+
+    def test_every_reversal_and_deletion_to_seven_points(self):
+        for n in range(8):
+            whole = (1 << n) - 1
+            for kind in ("partial-pairing", "partial-quasi"):
+                for family in enumerate_families(EnumSpec(n, kind)):
+                    rows = reversal_rows(n, family.pairs)
+                    for ground in (whole, *(whole ^ 1 << v for v in range(n))):
+                        assert_kernels_match_rescans(rows, n, ground)
+
+
+class TestEveryTournament:
+    """``module_rows`` on every labelled tournament on 5 and 6 vertices,
+    whole and, when indecomposable, less each vertex, against the all-pairs
+    test; ``TestIndecomposable::test_agrees_with_bruteforce`` checks the
+    5-vertex ones against the subset scan.  A critical tournament is
+    indecomposable, with T - x decomposable for every x."""
+
+    @pytest.mark.parametrize("n, indecomposable, critical", [(5, 264, 264), (6, 10320, 0)])
+    def test_indecomposable_and_critical_counts(self, n, indecomposable, critical):
+        whole = (1 << n) - 1
+        found = []
+        for bits in range(1 << pair_count(n)):
+            rows = _out_rows(Tournament(n, bits))
+            verdict = not module_rows(rows, whole)
+            assert verdict == indecomposable_by_pairs(rows, whole), bits
+            if verdict:
+                less = [not module_rows(rows, whole ^ 1 << x) for x in range(n)]
+                assert less == [indecomposable_by_pairs(rows, whole ^ 1 << x) for x in range(n)]
+                found.append(not any(less))
+        # No tournament on 4 vertices is indecomposable, so on 5 every
+        # indecomposable one is critical; critical tournaments have odd order.
+        assert (len(found), sum(found)) == (indecomposable, critical)
 
 
 class TestPairDeletion:

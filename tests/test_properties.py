@@ -25,6 +25,7 @@ from revtour import (
 from revtour.core import _out_rows, is_indecomposable_rows, module_rows, pair_count
 
 from oracles import anatomy_by_sorting, sweep_by_spans
+from test_core import assert_kernels_match_rescans
 
 
 @st.composite
@@ -101,6 +102,13 @@ def test_ground_mask_verdict_is_the_module_scan(case):
     ground = sum(1 << v for v in members)
     assert is_indecomposable_rows(_out_rows(t), ground) == (not nontrivial)
     assert_witness(t, ground)
+
+
+@given(tournaments_with_ground())
+def test_one_pass_kernels_are_the_rescans(case):
+    # The one-pass closure rests on antisymmetry, which any tournament has.
+    t, members = case
+    assert_kernels_match_rescans(_out_rows(t), t.n, sum(1 << v for v in members))
 
 
 @st.composite
