@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterable
 
 from .core import GuardError, Tournament, is_indecomposable, is_module, reverse_pairs, transitive
 from .enumeration import (
@@ -94,6 +95,18 @@ def _refuse_unread(args: argparse.Namespace, *options: str) -> None:
             raise _InputError(f"{args.verb} {args.what} does not read --{option}")
 
 
+def _write_lines(head: dict, tails: Iterable[str]) -> None:
+    """Write a JSON line per tail, the members of ``head`` then those the
+    tail holds already encoded, in the bytes of ``json.dumps(line,
+    separators=(",", ":"))``.  The head is encoded once; tails hold ints,
+    ``true``, ``false``, ``null`` and pair strings, whose digits, ``-`` and
+    ``,`` need no escaping."""
+    start = json.dumps(head, separators=(",", ":"))[:-1] + ","
+    write = sys.stdout.write
+    for tail in tails:
+        write(f"{start}{tail}}}\n")
+
+
 def _read_tournament() -> Tournament:
     return Tournament.from_text(sys.stdin.read())
 
@@ -142,11 +155,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "irreducible-only" if args.irreducible_only else "all",
         include_empty=args.include_empty,
     )
-    for family in enumerate_families(spec, max_n=limit):
-        print(json.dumps(
-            {"n": args.n, "kind": args.kind, "pairs": family.serialize()},
-            separators=(",", ":"),
-        ))
+    _write_lines({"n": args.n, "kind": args.kind}, (
+        f'"pairs":"{family.serialize()}"' for family in enumerate_families(spec, max_n=limit)
+    ))
     return 0
 
 
@@ -172,18 +183,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     limit = _effective_guard(args, args.kind)
-    for record in census(EnumSpec(args.n, args.kind), max_n=limit):
-        print(json.dumps(
-            {
-                "n": args.n,
-                "kind": args.kind,
-                "pairs": record.family.serialize(),
-                "indecomposable": record.indecomposable,
-                "irreducible": record.irreducible,
-                "class": record.class_id,
-            },
-            separators=(",", ":"),
-        ))
+    _write_lines({"n": args.n, "kind": args.kind}, (
+        f'"pairs":"{record.family.serialize()}"'
+        f',"indecomposable":{"true" if record.indecomposable else "false"}'
+        f',"irreducible":{"true" if record.irreducible else "false"}'
+        f',"class":{"null" if record.class_id is None else record.class_id}'
+        for record in census(EnumSpec(args.n, args.kind), max_n=limit)
+    ))
     return 0
 
 

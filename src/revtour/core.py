@@ -143,7 +143,10 @@ def reverse_pairs(t: Tournament, pairs: Iterable) -> Tournament:
 
 def _pair_bits(n: int, pairs: Iterable[tuple[int, int]]) -> int:
     """The arc bits of distinct pairs (x, y), x < y."""
-    return sum(1 << pair_index(n, x, y) for x, y in pairs)
+    bits = 0
+    for x, y in pairs:
+        bits |= 1 << pair_index(n, x, y)
+    return bits
 
 
 def dual(t: Tournament) -> Tournament:
@@ -399,7 +402,11 @@ def canonical_form(t: Tournament) -> str:
                 for cell in (first ^ low, *rest):
                     beaten = cell & out
                     row = row << cell.bit_count() | (1 << beaten.bit_count()) - 1
-                    split += [part for part in (cell ^ beaten, beaten) if part]
+                    beating = cell ^ beaten
+                    if beating:
+                        split.append(beating)
+                    if beaten:
+                        split.append(beaten)
                 if row < best:
                     best = row
                     survivors = {tuple(split)}

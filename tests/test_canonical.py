@@ -1,6 +1,7 @@
 """Canonical labeling by refinement against the permutation scan and networkx."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +115,19 @@ def test_census_class_ids_match_the_scan(monkeypatch):
     monkeypatch.setattr("revtour.enumeration.canonical_form", canonical_form_by_scan)
     assert [r.class_id for r in census(spec)] == fast
     assert any(fast) and None in fast
+
+
+# There is no pairing of 7 points, so pairings are taken at n = 8.
+@pytest.mark.parametrize("kind, n", [
+    ("pairing", 8), ("partial-pairing", 7), ("quasi", 7), ("partial-quasi", 7),
+])
+def test_census_class_ids_are_the_networkx_classes(kind, n):
+    records = [r for r in census(EnumSpec(n, kind)) if r.indecomposable]
+    first = {}
+    for r in records:
+        first.setdefault(r.class_id, as_digraph(r.tournament))
+    assert records and list(first) == list(range(len(first)))
+    for r in records:
+        assert DiGraphMatcher(as_digraph(r.tournament), first[r.class_id]).is_isomorphic()
+    for a, b in combinations(first.values(), 2):
+        assert not DiGraphMatcher(a, b).is_isomorphic()

@@ -13,8 +13,17 @@ import pytest
 
 import revtour
 import revtour.theorems
-from revtour import TheoremInstance, PairFamily, Tournament, VerificationReport
+from revtour import (
+    EnumSpec,
+    PairFamily,
+    TheoremInstance,
+    Tournament,
+    VerificationReport,
+    census,
+    enumerate_families,
+)
 from revtour.cli import main
+from revtour.enumeration import KINDS
 
 
 # The "ms" member of a verification report, the one field that varies by run.
@@ -425,6 +434,11 @@ class TestCensus:
         ("partial-quasi", 5, "f1471fc8971b88055c7b321281941bb4eb074110cca78acdb2a2ef84b926f64c"),
         ("partial-quasi", 6, "05f2138ed7649a09cc2f72c4c5faab2bd2bed1f92b0247dafe7463ee72ae3b8d"),
         ("partial-quasi", 7, "5ea9d237b56479e4f47a75c1f4939286868d8a6a129c5ec3c6c5036e3a3c7e66"),
+        # n = 8, pinned from the implementation that encoded each line with json.dumps.
+        ("pairing", 8, "23d8095935449d4202ef5e90a9f04cd509ef30a8189999d8fba6b015fed11880"),
+        ("partial-pairing", 8, "145fc015f2d3b601f09e300b9b17d4df380e15c32a72e871dd7be821c11346bd"),
+        ("quasi", 8, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("partial-quasi", 8, "fe423f5fd78306d74d9cd12d926cb0d9be29bf1c6ace9bccbc9f0cedd22f186e"),
     ])
     def test_golden_stream(self, capsys, monkeypatch, kind, n, digest):
         status, out, _ = run(capsys, monkeypatch, ["census", "--n", str(n), "--kind", kind])
@@ -440,6 +454,57 @@ class TestCensus:
         status, out, err = run(capsys, monkeypatch, ["census", "--n", "15", "--kind", "pairing"])
         assert status == 1 and out == ""
         assert "n <= 14, got 15" in err
+
+
+class TestLineWriter:
+    """Stream lines are the compact ``json.dumps`` of each record, byte for byte."""
+
+    @staticmethod
+    def compact(record: dict) -> str:
+        return json.dumps(record, separators=(",", ":"))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("flags", [[], ["--irreducible-only"], ["--include-empty"]])
+    def test_enumerate(self, capsys, monkeypatch, kind, flags):
+        for n in range(8):
+            spec = EnumSpec(
+                n, kind, "irreducible-only" if flags == ["--irreducible-only"] else "all",
+                include_empty=flags == ["--include-empty"],
+            )
+            want = [
+                self.compact({"n": n, "kind": kind, "pairs": family.serialize()})
+                for family in enumerate_families(spec)
+            ]
+            argv = ["enumerate", "--n", str(n), "--kind", kind, *flags]
+            status, out, _ = run(capsys, monkeypatch, argv)
+            assert status == 0
+            lines = out.splitlines()
+            assert lines == want
+            assert lines == [self.compact(json.loads(line)) for line in lines]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_census(self, capsys, monkeypatch, kind):
+        first_class = []
+        for n in range(8):
+            want = [
+                self.compact({
+                    "n": n,
+                    "kind": kind,
+                    "pairs": record.family.serialize(),
+                    "indecomposable": record.indecomposable,
+                    "irreducible": record.irreducible,
+                    "class": record.class_id,
+                })
+                for record in census(EnumSpec(n, kind))
+            ]
+            status, out, _ = run(capsys, monkeypatch, ["census", "--n", str(n), "--kind", kind])
+            assert status == 0
+            lines = out.splitlines()
+            assert lines == want
+            assert lines == [self.compact(json.loads(line)) for line in lines]
+            first_class += [line for line in lines if line.endswith(',"class":0}')]
+        # 0 == False in Python, so a lookup keyed by booleans would print false.
+        assert first_class
 
 
 class TestBrokenPipe:
