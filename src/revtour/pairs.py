@@ -24,12 +24,16 @@ from typing import Iterable, Iterator, Sequence
 
 def _partners(pairs: Iterable[tuple[int, int]], hub: int) -> tuple[int, int]:
     """The two partners low < high of ``hub``, from its pairs in sorted order."""
-    low, high = [x + y - hub for x, y in pairs if x == hub or y == hub]
+    partners = ()
+    for x, y in pairs:
+        if x == hub or y == hub:
+            partners += (x + y - hub,)
+    low, high = partners
     return low, high
 
 
 def _serialize(pairs: Iterable[tuple[int, int]]) -> str:
-    return ",".join(f"{x}-{y}" for x, y in pairs)
+    return ",".join([f"{x}-{y}" for x, y in pairs])
 
 
 def _invariant_broken(n: int, pairs: Iterable[tuple[int, int]], what: str) -> RuntimeError:

@@ -32,20 +32,19 @@ matches conditions (C1)-(C4) with (C4) reduced to hub membership in
 theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides, its named conditions and its filing rule.
 One driver, ``verify_range``, runs the rows of a theorem id or of
-"corollaries".  It checks the enumeration guard for its whole plan
-before any work, reads the pair walk's ``(pairs, mask, hub)`` tuples,
-and every row of a family's kind reads one ``Shape`` derived from them
-once.  Each side is a conjunction or disjunction evaluated in order of
-cost, bit tests, then irreducibility, then module searches, and stops
-as soon as its truth value is known; the conditions one by one are
-computed only for a filed row.
+"corollaries" on one pair walk per (n, kind), after checking the
+enumeration guard for all of them.  The sides of a walk's rows, and
+whether its kind has full support, are read once per walk; each orbit's
+``(pairs, mask, hub)`` gets one ``Shape`` and one ``Reversal``, which
+every row reads.  Each side is evaluated in order of cost, bit tests,
+then irreducibility, then module searches, and stops once it is known.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
-invariant under it.  So ``verify_range`` checks one family per mirror
-orbit, the one enumerated first, and counts both members.  A family
-object is built only for a filed row; its mirror image is checked too
-and filed beside it.
+invariant under it.  So one family per mirror orbit is checked, the one
+enumerated first, and both members are counted.  Only a filed row
+builds a family and its details; its mirror image is checked too and
+filed beside it.
 
 With ``jobs`` = N > 1 the walks are dealt into N shards.  The caller
 checks shard 0 itself and forks one child for each other shard, which
@@ -229,8 +228,11 @@ def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, int]:
     # Bit masks of x over the pairs {x, x + 1} and over the pairs {x, x + 2}.
     adjacent = spans2 = 0
     for x, y in pairs:
-        adjacent |= (y - x == 1) << x
-        spans2 |= (y - x == 2) << x
+        if y - x < 3:
+            if y - x == 1:
+                adjacent |= 1 << x
+            else:
+                spans2 |= 1 << x
     # {x, x+2} and {x+1, x+3} together need the hub at x or x+3.
     c3 = not spans2 & spans2 >> 1 & ~(1 << hub | 1 << hub >> 3)
     # Each {x, x+1} must hold the hub, whose two neighbours lie in the support.
@@ -325,26 +327,20 @@ def _family_shape(label: str, n: int, family: PairFamily) -> Shape:
     return _shape(n, family.pairs, family.mask, family._hub)
 
 
-def _reversal(label: str, n: int, shape: Shape) -> Reversal:
-    """The ``Reversal`` that every row of ``label``'s kind reads for this shape."""
-    pairs, *_, transversal = shape
-    if not transversal and not _BY_LABEL[label].kind.startswith("partial"):
-        raise _invariant_broken(n, pairs, "full support misses a minimal co-module")
-    rows = reversal_rows(n, pairs)
+def _reversal(n: int, shape: Shape, full: bool) -> Reversal:
+    """The ``Reversal`` every row reads; a ``full`` kind's support meets every minimal co-module."""
+    if full and not shape[5]:
+        raise _invariant_broken(n, shape[0], "full support misses a minimal co-module")
+    rows = reversal_rows(n, shape[0])
     return rows, module_rows(rows, (1 << n) - 1)
 
 
-def _instance(label: str, n: int, family: PairFamily, shape: Shape, reversal: Reversal):
-    """The ``TheoremInstance`` of the row ``label`` on a family, with its details."""
-    check = _BY_LABEL[label]
+def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
+    """Evaluate the table row ``label`` on one family over 0..n-1, with its details."""
+    shape, check = _family_shape(label, n, family), _BY_LABEL[label]
+    reversal = _reversal(n, shape, not check.kind.startswith("partial"))
     sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
     return TheoremInstance(n, family, *sides, details, n >= CHARACTERIZATION_MIN_N, label)
-
-
-def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
-    """Evaluate the table row ``label`` on one family over 0..n-1."""
-    shape = _family_shape(label, n, family)
-    return _instance(label, n, family, shape, _reversal(label, n, shape))
 
 
 def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
@@ -356,43 +352,52 @@ def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
             # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
             lead = n - 1 - top - pairs[0][0]
             if lead == 0:
-                lead = n - 1 - [x for x, y in pairs if y == top][-1] - pairs[0][1]
+                for x, y in reversed(pairs):
+                    if y == top:
+                        break
+                lead = n - 1 - x - pairs[0][1]
             if lead > 0:
                 yield labels, n, node, True
             elif lead == 0 and pairs <= (image := mirror_pairs(n, pairs)):
                 yield labels, n, node, pairs != image
 
 
-def _check_orbit(task: Task) -> tuple[int, list[TheoremInstance]]:
-    """Rows checked on one mirror orbit, and instances made for the rows filed
-    only: a family and details are built only for them, and for their mirror twin."""
-    labels, n, (pairs, mask, hub), paired = task
-    shape = _shape(n, pairs, mask, hub)
-    reversal = _reversal(labels[0], n, shape)
+def _filed(labels: tuple[str, ...], n: int, shape: Shape, reversal: Reversal, paired: bool):
+    """Instances for the rows of ``labels`` filed on an orbit's first member,
+    and for its mirror twin when ``paired``; none below the hypothesis."""
     filed = [
         label for label in labels if (s := _BY_LABEL[label].sides(n, shape, reversal))[0] != s[1]
     ]
-    if not filed or n < CHARACTERIZATION_MIN_N:
-        return len(labels) * (1 + paired), []
-    family = (QuasiPairing if hub >= 0 else Pairing)._from_walk(n, pairs, mask, hub)
-    instances = [_instance(label, n, family, shape, reversal) for label in filed]
+    if n < CHARACTERIZATION_MIN_N:
+        return []
+    family = (QuasiPairing if shape[2] >= 0 else Pairing)._from_walk(n, *shape[:3])
+    instances = [check_instance(label, n, family) for label in filed]
     if paired:
         image = mirrored(family)
-        shape = _shape(n, image.pairs, image.mask, image._hub)
-        reversal = _reversal(labels[0], n, shape)
-        twins = [_instance(label, n, image, shape, reversal) for label in filed]
+        twins = [check_instance(label, n, image) for label in filed]
         if [(i.lhs, i.rhs) for i in twins] != [(i.lhs, i.rhs) for i in instances]:
-            raise _invariant_broken(n, pairs, "its mirror image has other sides")
+            raise _invariant_broken(n, shape[0], "its mirror image has other sides")
         instances += twins
-    return len(labels) * (1 + paired), instances
+    return instances
 
 
 def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
-    """``_check_orbit`` summed over the mirror orbits in ``shard`` of the plan's walks."""
+    """Rows checked on the mirror orbits in ``shard`` of the plan's walks, and the
+    filed instances.  Each entry's sides and full-support flag are read once, each
+    orbit's ``Shape`` and ``Reversal`` once; only an orbit with a filed row goes on."""
     checked, filed = 0, []
-    for rows, instances in map(_check_orbit, _orbit_tasks(plan, shard)):
-        checked += rows
-        filed += instances
+    for labels, spec in plan:
+        n, full = spec.n, not spec.is_partial
+        sides = [_BY_LABEL[label].sides for label in labels]
+        for _, _, (pairs, mask, hub), paired in _orbit_tasks([(labels, spec)], shard):
+            checked += len(labels) * (1 + paired)
+            shape = _shape(n, pairs, mask, hub)
+            reversal = _reversal(n, shape, full)
+            for side in sides:
+                lhs, rhs = side(n, shape, reversal)
+                if lhs != rhs:
+                    filed += _filed(labels, n, shape, reversal, paired)
+                    break
     return checked, filed
 
 

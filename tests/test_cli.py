@@ -321,10 +321,14 @@ class TestVerify:
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_shards == []
         orbits = []
-        real = revtour.theorems._check_orbit
-        monkeypatch.setattr(
-            "revtour.theorems._check_orbit", lambda task: orbits.append(task) or real(task)
-        )
+        real = revtour.theorems._orbit_tasks
+
+        def counting(plan, shard):
+            for task in real(plan, shard):
+                orbits.append(task)
+                yield task
+
+        monkeypatch.setattr("revtour.theorems._orbit_tasks", counting)
         _, sharded, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
         # Two shards for the whole run, each taking its share of every walk.
         # Together they check one family per mirror orbit: 16 of the 30

@@ -39,7 +39,7 @@ from revtour.theorems import (
     _BY_LABEL,
     TheoremInstance,
     _c1,
-    _check_orbit,
+    _check_shard,
     _family_shape,
     _orbit_tasks,
     _reduced_c4,
@@ -232,7 +232,7 @@ class TestShortCircuitedSides:
         check, whole = _BY_LABEL[label], (1 << n) - 1
         for family in enumerate_families(EnumSpec(n, check.kind)):
             shape = _family_shape(label, n, family)
-            reversal = _reversal(label, n, shape)
+            reversal = _reversal(n, shape, not check.kind.startswith("partial"))
             sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
             rows, pairs = reversal[0], family.pairs
             indecomposable = indecomposable_by_pairs(rows, whole)
@@ -300,15 +300,22 @@ class TestVerifyRange:
                     i.to_record() for i in getattr(parallel, filed)
                 ]
 
-    def test_workers_return_only_filed_instances(self):
+    def test_workers_return_only_filed_instances(self, monkeypatch):
+        def check_orbit(labels, n, pairs, paired):
+            # A shard whose walk holds one mirror orbit, with ``pairs`` its first member.
+            task = labels, n, walk_tuple(pairs), paired
+            monkeypatch.setattr("revtour.theorems._orbit_tasks", lambda plan, shard: iter([task]))
+            return _check_shard([(labels, EnumSpec(n, _BY_LABEL[labels[0]].kind))], (0, 1))
+
         agreeing = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
         one_way = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
         # The last member flags a mirror image other than the family: both count.
-        assert _check_orbit((("theorem2",), 5, walk_tuple(agreeing.pairs), True)) == (2, [])
-        assert _check_orbit((("corollary3", "corollary2"), 7, walk_tuple(
-            [(0, 2), (2, 4), (1, 5), (3, 6)]), True)) == (4, [])
+        assert check_orbit(("theorem2",), 5, agreeing.pairs, True) == (2, [])
+        assert check_orbit(
+            ("corollary3", "corollary2"), 7, [(0, 2), (2, 4), (1, 5), (3, 6)], True
+        ) == (4, [])
         # This family is its own mirror image, so it is checked and filed once.
-        checked, filed = _check_orbit((("theorem2",), 5, walk_tuple(one_way.pairs), False))
+        checked, filed = check_orbit(("theorem2",), 5, one_way.pairs, False)
         assert checked == 1
         assert [i.to_record() for i in filed] == [
             check_instance("theorem2", 5, one_way).to_record()
@@ -316,7 +323,7 @@ class TestVerifyRange:
         # Below the hypothesis, lhs != rhs is tagged but never filed.
         below = Pairing(4, [(0, 2), (1, 3)])
         assert check_instance("theorem1", 4, below).lhs is False
-        assert _check_orbit((("theorem1",), 4, walk_tuple(below.pairs), False)) == (1, [])
+        assert check_orbit(("theorem1",), 4, below.pairs, False) == (1, [])
 
     def test_transversal_runs_once_per_family(self, monkeypatch):
         calls = []
@@ -670,6 +677,49 @@ class TestMirrorOrbits:
         filed = [PairFamily.parse(v["n"], v["pairs"]) for v in oracles[3]["violations"]]
         own_image = [f for f in filed if mirror_pairs(f.n, f.pairs) == f.pairs]
         assert len(filed) > 300 and 0 < len(own_image) < len(filed)
+
+
+def every_family_doc(theorem):
+    """``report_doc(theorem)`` from ``check_instance`` on every family of each
+    row's kind, filed as the theorems state it: from n = 5 on, lhs without
+    rhs at a row's one-way size recorded and any other disagreement a
+    violation, by n, then table row, then walk order."""
+    checked, filed = 0, {"violations": [], "recorded": []}
+    for n in range(3, 9):
+        for check in CHECKS:
+            if check.run != theorem or not check.applies(n):
+                continue
+            for family in enumerate_families(EnumSpec(n, check.kind)):
+                inst = check_instance(check.label, n, family)
+                checked += 1
+                if n >= 5 and inst.lhs != inst.rhs:
+                    one_way = inst.lhs and n == check.one_way_at
+                    filed["recorded" if one_way else "violations"].append(inst.to_record())
+    return {"theorem": theorem, "n_range": [3, 8], "checked": checked, **filed}
+
+
+class TestDriverAgainstEveryFamily:
+    """The driver's report equals the per-family path's: ``check_instance``
+    on every family, both members of each mirror orbit.  The planted bugs
+    make many rows filed, and in both directions, so the comparison covers
+    the orbit filter, the filing, the mirror twins and the sides each plan
+    entry binds: corollaries 5..8 runs quasi, pairing, quasi and pairing
+    entries in turn, and a row read with another entry's sides files
+    other families."""
+
+    @pytest.mark.parametrize("bug", [None, "irreducible", "module"])
+    @pytest.mark.parametrize("theorem", [1, 2, 3, "corollaries"])
+    def test_same_report_as_check_instance(self, monkeypatch, fake_shards, theorem, bug):
+        if bug == "irreducible":
+            monkeypatch.setattr("revtour.theorems._irreducible", lambda ends, pairs: True)
+        elif bug == "module":
+            monkeypatch.setattr("revtour.theorems.module_rows", lambda rows, ground: 0)
+        oracle = every_family_doc(theorem)
+        assert report_doc(theorem) == oracle
+        assert report_doc(theorem, jobs=2) == oracle
+        assert fake_shards == [2]
+        if bug:
+            assert len(oracle["violations"]) + len(oracle["recorded"]) > 20
 
 
 class TestLeastPairOrbitTest:
