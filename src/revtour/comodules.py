@@ -8,7 +8,6 @@ small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (
@@ -21,7 +20,7 @@ from .core import (
     is_indecomposable_rows,
     reversal_rows,
 )
-from .pairs import PairFamily, _same_size
+from .pairs import PairFamily, Record, _same_size
 
 # Largest n for the minimal co-module subset scan.
 MINIMAL_SCAN_LIMIT = 14
@@ -29,8 +28,7 @@ MINIMAL_SCAN_LIMIT = 14
 DECOMPOSITION_SCAN_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class ComoduleFamily:
+class ComoduleFamily(Record):
     """A family of distinct vertex subsets of 0..n-1.
 
     Members are stored as sorted tuples in lexicographic order.  When the
@@ -39,19 +37,16 @@ class ComoduleFamily:
     order) may overlap.
     """
 
-    n: int
-    members: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, members: Iterable[Iterable[int]] = ()) -> None:
         cleaned = set()
-        for member in self.members:
+        for member in members:
             ordered = tuple(sorted(member))
             if not ordered:
                 raise ValueError("family members must be nonempty")
-            if ordered[0] < 0 or ordered[-1] >= self.n:
-                raise ValueError(f"member {member!r} out of range 0..{self.n - 1}")
+            if ordered[0] < 0 or ordered[-1] >= n:
+                raise ValueError(f"member {member!r} out of range 0..{n - 1}")
             cleaned.add(ordered)
-        object.__setattr__(self, "members", tuple(sorted(cleaned)))
+        self.__dict__.update(n=n, members=tuple(sorted(cleaned)))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.members)

@@ -13,11 +13,10 @@ with i < j, character '1' meaning the arc i -> j is present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .pairs import _normalize
+from .pairs import Record, _normalize
 
 # Largest n accepted by subset-scanning oracles (2^n subsets).
 SUBSET_SCAN_LIMIT = 20
@@ -36,22 +35,19 @@ def pair_index(n: int, x: int, y: int) -> int:
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(Record):
     """Complete asymmetric digraph on vertices 0..n-1.
 
     ``bits`` packs the arc table: bit ``pair_index(n, x, y)`` is 1 when
     the arc runs x -> y (for x < y) and 0 when it runs y -> x.
     """
 
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if not 0 <= self.bits < 1 << pair_count(self.n):
-            raise ValueError(f"arc bits out of range for {self.n} vertices")
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= bits < 1 << pair_count(n):
+            raise ValueError(f"arc bits out of range for {n} vertices")
+        self.__dict__.update(n=n, bits=bits)
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -17,7 +17,6 @@ without building any, once ``verify_range`` has checked the guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterator
 
@@ -34,6 +33,7 @@ from .pairs import (
     PairFamily,
     Pairing,
     QuasiPairing,
+    Record,
     _cuts,
     _invariant_broken,
     _partners,
@@ -49,22 +49,17 @@ PARTIAL_ENUM_LIMIT = 12
 FULL_ENUM_LIMIT = 14
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(Record):
     """What to enumerate: ambient size, family kind, filter, empty-family flag."""
 
-    n: int
-    kind: str
-    filter: str = "all"
-    include_empty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"ambient size must be nonnegative, got {self.n}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, want one of {KINDS}")
-        if self.filter not in FILTERS:
-            raise ValueError(f"unknown filter {self.filter!r}, want one of {FILTERS}")
+    def __init__(self, n: int, kind: str, filter: str = "all", include_empty: bool = False) -> None:
+        if n < 0:
+            raise ValueError(f"ambient size must be nonnegative, got {n}")
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}, want one of {KINDS}")
+        if filter not in FILTERS:
+            raise ValueError(f"unknown filter {filter!r}, want one of {FILTERS}")
+        self.__dict__.update(n=n, kind=kind, filter=filter, include_empty=include_empty)
 
     @property
     def is_partial(self) -> bool:
@@ -205,15 +200,13 @@ def count_irreducible_pairings(m: int, max_m: int | None = None) -> int:
     return sum(1 for _ in enumerate_families(spec, max_m))
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(Record):
     """One enumerated family with its reversed tournament and verdicts."""
 
-    family: PairFamily
-    tournament: Tournament
-    indecomposable: bool
-    irreducible: bool
-    class_id: int | None
+    def __init__(self, family: PairFamily, tournament: Tournament, indecomposable: bool,
+                 irreducible: bool, class_id: int | None) -> None:
+        self.__dict__.update(family=family, tournament=tournament, indecomposable=indecomposable,
+                             irreducible=irreducible, class_id=class_id)
 
 
 def census(spec: EnumSpec, max_n: int | None = None) -> Iterator[CensusRecord]:

@@ -18,7 +18,6 @@ by (i, j); the empty family serializes to the empty string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -72,27 +71,54 @@ def is_order_transversal(n: int, mask: int) -> bool:
     return not missing & (1 | 1 << n - 1) and not missing & missing >> 1
 
 
-@dataclass(frozen=True, eq=False)
-class PairFamily:
+class Record:
+    """Base of the value types, lighter to import than ``dataclasses``: the fields are the
+    ``__init__`` parameters, stored by name with ``self.__dict__.update`` and never assigned
+    again.  A record equals, and hashes as, the records of its class with equal fields."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class PairFamily(Record):
     """A set of unordered vertex pairs over the ambient set 0..n-1.
 
     Pairs are stored deduplicated, each as (x, y) with x < y, sorted, with
     the support mask ``mask`` and the hub ``_hub`` (-1 for none) folded from
     them as in ``enumeration._pair_walk``, and nothing else: ``support`` and
-    ``transversal`` are read off ``mask`` on each use.
+    ``transversal`` are read off ``mask`` on each use.  Families of any kind
+    with equal fields are equal.
     """
 
-    n: int
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        pairs = _normalize(self.n, self.pairs)
+    def __init__(self, n: int, pairs: Iterable = ()) -> None:
+        pairs = _normalize(n, pairs)
         once = twice = 0
         for x, y in pairs:
             pair = 1 << x | 1 << y
             # A free end becomes covered once, an end covered once becomes a hub.
             once, twice = once ^ pair, twice | once & pair
-        self.__dict__.update(pairs=pairs, mask=once | twice, _hub=twice.bit_length() - 1)
+        self.__dict__.update(n=n, pairs=pairs, mask=once | twice, _hub=twice.bit_length() - 1)
         if error := self._size_error():
             raise ValueError(error)
 
@@ -114,8 +140,7 @@ class PairFamily:
             return NotImplemented
         return self.n == other.n and self.pairs == other.pairs
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.pairs))
+    __hash__ = Record.__hash__
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
@@ -153,7 +178,6 @@ class PairFamily:
         return cls(n, pairs)
 
 
-@dataclass(frozen=True, eq=False)
 class Pairing(PairFamily):
     """A pair family whose pairs are pairwise disjoint."""
 
@@ -163,7 +187,6 @@ class Pairing(PairFamily):
         return None
 
 
-@dataclass(frozen=True, eq=False)
 class QuasiPairing(PairFamily):
     """A pair family covering an odd support with a single doubled vertex."""
 

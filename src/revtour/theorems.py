@@ -57,7 +57,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
@@ -69,6 +68,7 @@ from .pairs import (
     PairFamily,
     Pairing,
     QuasiPairing,
+    Record,
     _invariant_broken,
     _irreducible,
     _partners,
@@ -94,17 +94,13 @@ Task = tuple[tuple[str, ...], int, tuple[tuple, int, int], bool]
 Plan = list[tuple[tuple[str, ...], EnumSpec]]
 
 
-@dataclass(frozen=True)
-class TheoremInstance:
+class TheoremInstance(Record):
     """Both sides of one theorem check, with per-condition detail booleans."""
 
-    n: int
-    family: PairFamily
-    lhs: bool
-    rhs: bool
-    details: dict[str, bool]
-    in_hypothesis: bool = True
-    label: str = ""
+    def __init__(self, n: int, family: PairFamily, lhs: bool, rhs: bool, details: dict[str, bool],
+                 in_hypothesis: bool = True, label: str = "") -> None:
+        self.__dict__.update(n=n, family=family, lhs=lhs, rhs=rhs, details=details,
+                             in_hypothesis=in_hypothesis, label=label)
 
     def to_record(self) -> dict:
         return {
@@ -118,17 +114,17 @@ class TheoremInstance:
         }
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of checking one theorem over a range of ambient sizes."""
+class VerificationReport(Record):
+    """Outcome of checking one theorem over a range of ambient sizes, filled in by verify_range."""
 
-    theorem: int | str
-    n_min: int
-    n_max: int
-    checked: int = 0
-    violations: list[TheoremInstance] = field(default_factory=list)
-    recorded: list[TheoremInstance] = field(default_factory=list)
-    ms: float = 0.0
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, theorem: int | str, n_min: int, n_max: int, checked: int = 0,
+                 violations: list[TheoremInstance] | None = None,
+                 recorded: list[TheoremInstance] | None = None, ms: float = 0.0) -> None:
+        self.__dict__.update(theorem=theorem, n_min=n_min, n_max=n_max, checked=checked,
+                             violations=[] if violations is None else violations,
+                             recorded=[] if recorded is None else recorded, ms=ms)
 
     @property
     def passed(self) -> bool:
@@ -269,8 +265,7 @@ def _reduced_c4(n: int, hub: int, adjacent: int) -> bool:
     return not adjacent or (not adjacent & ~(1 << hub | 1 << hub >> 1) and 0 < hub < n - 1)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One row of the checker table.
 
     ``run`` is the ``verify_range`` theorem id whose runs include the row,
@@ -286,14 +281,12 @@ class Check:
     above: theorem 1 needs 3.
     """
 
-    run: int | str
-    label: str
-    kind: str
-    applies: Callable[[int], bool]
-    sides: Callable[[int, Shape, Reversal], Sides]
-    details: Callable[[int, Shape, Reversal], dict[str, bool]]
-    one_way_at: int | None = None
-    least_n: int = 0
+    def __init__(self, run: int | str, label: str, kind: str, applies: Callable[[int], bool],
+                 sides: Callable[[int, Shape, Reversal], Sides],
+                 details: Callable[[int, Shape, Reversal], dict[str, bool]],
+                 one_way_at: int | None = None, least_n: int = 0) -> None:
+        self.__dict__.update(run=run, label=label, kind=kind, applies=applies, sides=sides,
+                             details=details, one_way_at=one_way_at, least_n=least_n)
 
 
 # A "corollaries" run files its rows in table order at each n.

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import time
 import warnings
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from revtour.pairs import _same_size, mirror_pairs
 from revtour.theorems import (
     CHECKS,
     _BY_LABEL,
+    Check,
     TheoremInstance,
     _c1,
     _check_shard,
@@ -63,7 +63,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def patch_sides(monkeypatch, **sides):
     """Swap the sides of the named table rows for the duration of a test."""
-    rows = tuple(replace(c, sides=sides[c.label]) if c.label in sides else c for c in CHECKS)
+    rows = tuple(Check(**{**vars(c), "sides": sides[c.label]}) if c.label in sides else c
+                 for c in CHECKS)
     monkeypatch.setattr("revtour.theorems.CHECKS", rows)
     monkeypatch.setattr("revtour.theorems._BY_LABEL", {c.label: c for c in rows})
 
@@ -601,10 +602,9 @@ class TestForkedShards:
         # forever.
         assert self.script_stdout("""
             import os, pickle
-            from dataclasses import replace
             import revtour.theorems as theorems
             rows = tuple(
-                replace(c, sides=lambda n, shape, reversal: (False, True))
+                theorems.Check(**{**vars(c), "sides": lambda n, shape, reversal: (False, True)})
                 if c.label == "theorem3" else c for c in theorems.CHECKS
             )
             theorems.CHECKS, theorems._BY_LABEL = rows, {c.label: c for c in rows}
@@ -760,18 +760,18 @@ class TestFiledOnlyInstances:
     @staticmethod
     def count_families(monkeypatch):
         made = []
-        build, post_init = PairFamily._from_walk.__func__, PairFamily.__post_init__
+        build, init = PairFamily._from_walk.__func__, PairFamily.__init__
 
         def from_walk(cls, *args):
             made.append(build(cls, *args))
             return made[-1]
 
-        def counted_post_init(family):
-            post_init(family)
+        def counted_init(family, *args, **kwargs):
+            init(family, *args, **kwargs)
             made.append(family)
 
         monkeypatch.setattr(PairFamily, "_from_walk", classmethod(from_walk))
-        monkeypatch.setattr(PairFamily, "__post_init__", counted_post_init)
+        monkeypatch.setattr(PairFamily, "__init__", counted_init)
         return made
 
     def test_no_family_where_none_is_filed(self, monkeypatch):
@@ -1016,14 +1016,16 @@ class TestInvariants:
     def test_mirror_invariant_raises_under_optimize(self):
         out = optimized_stdout("""
             import sys
-            from dataclasses import replace
             import revtour.theorems as theorems
             from revtour.pairs import mirror_pairs
 
             def not_mirror_invariant(n, shape, reversal):
                 return True, shape[0] > mirror_pairs(n, shape[0])
 
-            theorems.CHECKS = tuple(replace(c, sides=not_mirror_invariant) for c in theorems.CHECKS)
+            theorems.CHECKS = tuple(
+                theorems.Check(**{**vars(c), "sides": not_mirror_invariant})
+                for c in theorems.CHECKS
+            )
             theorems._BY_LABEL = {c.label: c for c in theorems.CHECKS}
             try:
                 theorems.verify_range(3, 5, 5)
