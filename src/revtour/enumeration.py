@@ -3,16 +3,15 @@ of indecomposable tournaments they produce when reversed inside a total
 order.
 
 Families come out as lexicographically increasing tuples of pairs, each
-family exactly once, so runs are deterministic.  Shard (i, k) takes every
-k-th one-pair family and depth-two subtree of the walk from the i-th on,
+family exactly once, so runs are deterministic.  The walk hands them on
+one depth-two subtree at a time, the unit that shard (i, k) deals: it
+takes every k-th one-pair family and depth-two subtree from the i-th on,
 so k shards partition the stream; shard (0, 1) is the whole stream.
 
-Under filter ``irreducible-only`` the walk keeps only the irreducible
-families, by their cuts (``pairs._cuts``).  Each family comes as the
-tuple ``(pairs, mask, hub)`` that ``PairFamily`` stores.
-``enumerate_families`` checks the enumeration guard and builds a family
-from each tuple of ``_family_tuples``; ``theorems`` reads the tuples
-without building any, once ``verify_range`` has checked the guard.
+``enumerate_families`` checks the guard and builds a ``PairFamily`` from
+each ``(pairs, mask, hub)`` of ``_family_tuples``; ``theorems`` reads
+the tuples unbuilt, once ``verify_range`` has checked the guard.  Filter
+``irreducible-only`` keeps the irreducible families, by their cuts.
 """
 
 from __future__ import annotations
@@ -81,33 +80,34 @@ def _pair_walk(
 ) -> Iterator[tuple]:
     """DFS over families as lexicographically increasing tuples of pairs.
 
-    ``doubled`` is the exact number of vertices allowed in two pairs (0
-    for pairings, 1 for quasi-pairings); ``full_support`` restricts the
-    output to families covering all of 0..n-1.  Each family is emitted at
-    the node that completes it, before any extension, which makes the
-    whole stream lexicographic without post-sorting.  Ends are the set bits
-    of the free mask and, while a hub is allowed, of the mask covered
-    ``once`` (for a second end, only with a free first end), lowest first.
-    Each family comes as ``(pairs, mask, hub)``: its sorted pairs, the bit
-    mask of its support and its hub (-1 for a pairing).  For ``shard``
-    (i, k), a node at depth one or two whose ordinal mod k is not i skips its
-    family and, at depth two, its subtree.
+    ``doubled`` is the exact number of vertices allowed in two pairs (0 for
+    pairings, 1 for quasi-pairings); ``full_support`` keeps the families on all
+    of 0..n-1.  Ends are the set bits of the free mask and, while a hub is
+    allowed, of the mask covered ``once`` (for a second end, only with a free
+    first end), lowest first.  A plain recursion buffers each family at the
+    node completing it, before any extension, as ``(pairs, mask, hub)``: its
+    sorted pairs, support mask and hub (-1 for a pairing).  Its first pass over
+    depths one and two draws every ordinal and leaves a seed at each depth-two
+    node, whose subtree is then walked and drained, so a consumer holds at most
+    one, the unit of ``shard`` (i, k): a node at depth one or two whose ordinal
+    mod k is not i skips its family and, at two, its subtree.
 
     With ``irreducible`` a family comes out when the cuts before its support
-    vertices but the least are nonzero and pairwise distinct.  The set of
-    settled cuts holds 0 and, as none is settled before a hub, starts afresh
-    at the node placing it, with the cuts up to its first end a.  From there,
-    or from a pairing's first pair, a first end a settles those in (previous
-    a, a], each ``covered & -(1 << v)``.  One already in the set skips its
-    node, subtree and ordinals; a family's cuts above a are checked so.
+    vertices but the least are nonzero and pairwise distinct.  The settled cuts,
+    copied into each seed, hold 0 and, as none is settled before a hub, start
+    afresh at the node placing it, with the cuts up to its first end a.  From
+    there, or from a pairing's first pair, a first end a settles those in
+    (previous a, a], each ``covered & -(1 << v)``.  One already settled skips
+    its node, subtree and ordinals; a family's cuts above a are checked so.
     """
     full = (1 << n) - 1
     acc: list[tuple[int, int]] = []
+    out: list[tuple] = []
     mine, k = shard
     ordinals = count()
     cuts = {0}
 
-    def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> Iterator[tuple]:
+    def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> None:
         covered = once | twice
         prune = irreducible and hubs == doubled and covered
         free = full & ~covered
@@ -148,14 +148,24 @@ def _pair_walk(
                 if complete and now_hubs == doubled and not theirs:
                     now_covered = now_once | now_twice
                     if not irreducible or cuts.isdisjoint(_cuts(now_covered, now_covered, a + 1)):
-                        yield tuple(acc), now_covered, now_twice.bit_length() - 1
-                if not theirs or depth == 1:
-                    yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
+                        out.append((tuple(acc), now_covered, now_twice.bit_length() - 1))
+                if depth != 2:
+                    rec(a, b, now_once, now_twice, now_hubs, depth + 1)
+                elif not theirs:
+                    out.append((acc[:], a, b, now_once, now_twice, now_hubs, irreducible and {*cuts}))
                 acc.pop()
             if prune:
                 cuts.difference_update(settled)
 
-    yield from rec(0, 0, 0, 0, 0, 1)
+    rec(0, 0, 0, 0, 0, 1)
+    for node in out[:]:
+        if len(node) == 3:  # a family of one or two pairs; a seed has seven fields
+            yield node
+            continue
+        out.clear()
+        acc[:], a, b, once, twice, hubs, cuts = node  # a plain walk reads no cut
+        rec(a, b, once, twice, hubs, 3)
+        yield from out
 
 
 def default_limit(kind: str) -> int:

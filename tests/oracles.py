@@ -4,11 +4,12 @@ Everything here is deliberately naive: straight from the definitions,
 sharing nothing with the package internals beyond public data access.
 """
 
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, count, permutations
 from math import comb
+from typing import Iterator
 
-from revtour.enumeration import _family_tuples
-from revtour.pairs import mirror_pairs
+from revtour.enumeration import _family_tuples, _hub_cuts
+from revtour.pairs import _cuts, mirror_pairs
 
 
 def involution_count(n: int) -> int:
@@ -363,3 +364,87 @@ def sweep_by_spans(parts):
             if v > u and reach == v:
                 return False
     return True
+
+
+# ``revtour.enumeration._pair_walk`` as it stood before the drained walk: each
+# node a generator, each family yielded up a chain of ``yield from`` frames.
+def pair_walk_generator(
+    n: int, doubled: int, full_support: bool, shard=(0, 1), irreducible: bool = False
+) -> Iterator[tuple]:
+    """DFS over families as lexicographically increasing tuples of pairs.
+
+    ``doubled`` is the exact number of vertices allowed in two pairs (0
+    for pairings, 1 for quasi-pairings); ``full_support`` restricts the
+    output to families covering all of 0..n-1.  Each family is emitted at
+    the node that completes it, before any extension, which makes the
+    whole stream lexicographic without post-sorting.  Ends are the set bits
+    of the free mask and, while a hub is allowed, of the mask covered
+    ``once`` (for a second end, only with a free first end), lowest first.
+    Each family comes as ``(pairs, mask, hub)``: its sorted pairs, the bit
+    mask of its support and its hub (-1 for a pairing).  For ``shard``
+    (i, k), a node at depth one or two whose ordinal mod k is not i skips its
+    family and, at depth two, its subtree.
+
+    With ``irreducible`` a family comes out when the cuts before its support
+    vertices but the least are nonzero and pairwise distinct.  The set of
+    settled cuts holds 0 and, as none is settled before a hub, starts afresh
+    at the node placing it, with the cuts up to its first end a.  From there,
+    or from a pairing's first pair, a first end a settles those in (previous
+    a, a], each ``covered & -(1 << v)``.  One already in the set skips its
+    node, subtree and ordinals; a family's cuts above a are checked so.
+    """
+    full = (1 << n) - 1
+    acc: list[tuple[int, int]] = []
+    mine, k = shard
+    ordinals = count()
+    cuts = {0}
+
+    def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> Iterator[tuple]:
+        covered = once | twice
+        prune = irreducible and hubs == doubled and covered
+        free = full & ~covered
+        top = (free & -free).bit_length() - 1 if full_support and free else n - 1
+        firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            a = low.bit_length() - 1
+            if prune:
+                settled = _cuts(covered & low - 1 | low, covered, pa + 1)
+                if not cuts.isdisjoint(settled):
+                    continue
+                cuts.update(settled)
+            seconds = free | once if hubs < doubled and free & low else free
+            seconds &= -(2 << (pb if a == pa else a))
+            while seconds:
+                high = seconds & -seconds
+                seconds ^= high
+                b = high.bit_length() - 1
+                pair = low | high
+                # A free end becomes covered once, an end covered once becomes a hub.
+                now_once, now_twice = once ^ pair, twice | once & pair
+                now_hubs = hubs
+                if once & pair:
+                    now_hubs += 1
+                    if irreducible:
+                        ends = (now_once | now_twice) & (2 << a) - 1
+                        placed = _hub_cuts([*acc, (a, b)], (once & pair).bit_length() - 1, ends)
+                        cuts.clear()
+                        cuts.update(placed)
+                        if len(cuts) < len(placed):
+                            continue
+                acc.append((a, b))
+                theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
+                complete = not full_support or now_once | now_twice == full
+                # A node holds a pair at least, and two pairs once it has a hub.
+                if complete and now_hubs == doubled and not theirs:
+                    now_covered = now_once | now_twice
+                    if not irreducible or cuts.isdisjoint(_cuts(now_covered, now_covered, a + 1)):
+                        yield tuple(acc), now_covered, now_twice.bit_length() - 1
+                if not theirs or depth == 1:
+                    yield from rec(a, b, now_once, now_twice, now_hubs, depth + 1)
+                acc.pop()
+            if prune:
+                cuts.difference_update(settled)
+
+    yield from rec(0, 0, 0, 0, 0, 1)
