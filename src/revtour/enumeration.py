@@ -10,8 +10,10 @@ so k shards partition the stream; shard (0, 1) is the whole stream.
 
 ``enumerate_families`` checks the guard and builds a ``PairFamily`` from
 each ``(pairs, mask, hub)`` of ``_family_tuples``; ``theorems`` reads
-the tuples unbuilt, once ``verify_range`` has checked the guard.  Filter
-``irreducible-only`` keeps the irreducible families, by their cuts.
+the tuples unbuilt, once ``verify_range`` has checked the guard, from a
+walk that with ``leads`` skips the subtrees below depth two whose
+families all come after their mirror image.  Filter ``irreducible-only``
+keeps the irreducible families, by their cuts.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def _hub_cuts(pairs: list, hub: int, ends: int) -> list[int]:
 
 
 def _pair_walk(
-    n: int, doubled: int, full_support: bool, shard=(0, 1), irreducible: bool = False
+    n: int, doubled: int, full_support: bool, shard=(0, 1), irreducible: bool = False,
+    leads: bool = False,
 ) -> Iterator[tuple]:
     """DFS over families as lexicographically increasing tuples of pairs.
 
@@ -99,8 +102,19 @@ def _pair_walk(
     there, or from a pairing's first pair, a first end a settles those in
     (previous a, a], each ``covered & -(1 << v)``.  One already settled skips
     its node, subtree and ordinals; a family's cuts above a are checked so.
+
+    With ``leads`` the walk below depth two keeps only the families that can
+    come before their mirror image (x -> n-1-x), whose least pair is
+    (n-1-top, n-1-x), top the largest support vertex and x its largest
+    partner.  For (a0, b0) the first pair, cap = n-1-a0 and bar = n-1-b0, a
+    family can lead its orbit only if (R1) no vertex lies above cap and (R2)
+    no pair (a, cap) has a > bar.  A seed that breaks either is dropped; its
+    subtree takes ends from the ``ground`` mask of 0..cap, and a first end
+    above ``bar`` takes no second end cap.  Depths one and two, and so every
+    ordinal, are walked as without it; ties are left to the caller.
     """
-    full = (1 << n) - 1
+    full = ground = (1 << n) - 1
+    bar = n - 1
     acc: list[tuple[int, int]] = []
     out: list[tuple] = []
     mine, k = shard
@@ -110,7 +124,7 @@ def _pair_walk(
     def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> None:
         covered = once | twice
         prune = irreducible and hubs == doubled and covered
-        free = full & ~covered
+        free = ground & ~covered
         top = (free & -free).bit_length() - 1 if full_support and free else n - 1
         firsts = (free | once if hubs < doubled else free) & (1 << top + 1) - (1 << pa)
         while firsts:
@@ -124,6 +138,8 @@ def _pair_walk(
                 cuts.update(settled)
             seconds = free | once if hubs < doubled and free & low else free
             seconds &= -(2 << (pb if a == pa else a))
+            if a > bar:  # (R2)
+                seconds &= ground >> 1
             while seconds:
                 high = seconds & -seconds
                 seconds ^= high
@@ -164,6 +180,12 @@ def _pair_walk(
             continue
         out.clear()
         acc[:], a, b, once, twice, hubs, cuts = node  # a plain walk reads no cut
+        if leads:
+            a0, b0 = acc[0]
+            cap, bar = n - 1 - a0, n - 1 - b0
+            if (once | twice) >> cap + 1 or b == cap and a > bar:
+                continue  # (R1) or (R2) broken at depth two
+            ground = (2 << cap) - 1
         rec(a, b, once, twice, hubs, 3)
         yield from out
 
@@ -180,14 +202,16 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
         raise GuardError(f"enumeration of kind {spec.kind!r} allows n <= {limit}, got {spec.n}")
 
 
-def _family_tuples(spec: EnumSpec, shard=(0, 1)) -> Iterator[tuple]:
+def _family_tuples(spec: EnumSpec, shard=(0, 1), leads: bool = False) -> Iterator[tuple]:
     """The walk's ``(pairs, mask, hub)`` for the families matching the spec
-    in ``shard`` (i, k), the empty one first in shard 0.  The shard is
-    checked at the call, not at the first step; the guard is the caller's."""
+    in ``shard`` (i, k), the empty one first in shard 0; with ``leads``, only
+    those the walk's mirror rules keep, a superset of the orbit leads.  The
+    shard is checked at the call, not at the first step; the guard is the
+    caller's."""
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
     irreducible = spec.filter == "irreducible-only"
-    walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible)
+    walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible, leads)
     if spec.include_empty and not (shard[0] or spec.is_quasi) and (spec.is_partial or not spec.n):
         return chain([((), 0, -1)], walk)
     return walk

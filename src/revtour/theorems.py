@@ -42,7 +42,9 @@ then irreducibility, then module searches, and stops once it is known.
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
 invariant under it.  So one family per mirror orbit is checked, the one
-enumerated first, and both members are counted.  Only a filed row
+enumerated first, and both members are counted.  The walk is asked for
+``leads``, so it skips most of the members that come second; the orbit
+test drops the rest and settles the ties.  Only a filed row
 builds a family and its details; its mirror image is checked too and
 filed beside it.
 
@@ -340,7 +342,7 @@ def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
     """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
     for labels, spec in plan:
         n = spec.n
-        for node in enumerate_families(spec, shard):
+        for node in enumerate_families(spec, shard, leads=True):
             pairs, top = node[0], node[1].bit_length() - 1
             # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
             lead = n - 1 - top - pairs[0][0]

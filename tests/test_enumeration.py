@@ -28,6 +28,7 @@ from revtour import (
     transitive,
 )
 from revtour.enumeration import KINDS, _family_tuples, _pair_walk
+from revtour.pairs import mirror_pairs
 
 from oracles import (
     all_partial_pairings,
@@ -376,6 +377,36 @@ class TestDrainedWalk:
         finally:
             tracemalloc.stop()
         assert drained == 83520 and peak < 1 << 20, peak
+
+
+class TestLeadWalk:
+    """With ``leads`` the walk drops only families whose mirror image it
+    meets first; ``_orbit_tasks`` settles the rest in ``test_theorems``."""
+
+    # Walk sizes with ``leads``; a walk that filtered its families after
+    # building them, or gave a kept subtree every vertex, would yield the same
+    # orbits but not these sizes.
+    LEADS = {
+        "pairing": {10: 585, 12: 6195},
+        "partial-pairing": {9: 1710, 10: 5813},
+        "quasi": {9: 2280},
+        "partial-quasi": {9: 10976, 10: 47274},
+    }
+
+    @pytest.mark.parametrize("irreducible", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_drops_only_families_after_their_image(self, kind, irreducible):
+        for n in range(13 if kind == "pairing" else 11):
+            spec = EnumSpec(n, kind, "irreducible-only" if irreducible else "all")
+            plain = [pairs for pairs, *_ in _family_tuples(spec)]
+            leads = [pairs for pairs, *_ in _family_tuples(spec, leads=True)]
+            rest = iter(plain)
+            # A subsequence of the plain stream, in its order.
+            assert all(pairs in rest for pairs in leads), n
+            kept = set(leads)
+            assert all(mirror_pairs(n, pairs) < pairs for pairs in plain if pairs not in kept), n
+            if not irreducible and n in self.LEADS[kind]:
+                assert len(leads) == self.LEADS[kind][n], n
 
 
 class TestIrreducibleCounts:

@@ -380,9 +380,9 @@ class TestVerifyRange:
         enumerated = []
         real = revtour.theorems.enumerate_families
 
-        def counting(spec, shard=(0, 1)):
+        def counting(spec, shard=(0, 1), leads=False):
             enumerated.append((spec.n, spec.kind))
-            return real(spec, shard)
+            return real(spec, shard, leads)
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", counting)
         report = verify_range("corollaries", 6, 7)
@@ -428,8 +428,8 @@ class TestVerifyRange:
         real_walk = revtour.theorems.enumerate_families
         real_rows = revtour.theorems.reversal_rows
 
-        def enumerating(spec, shard=(0, 1)):
-            for node in real_walk(spec, shard):
+        def enumerating(spec, shard=(0, 1), leads=False):
+            for node in real_walk(spec, shard, leads):
                 events.append("family")
                 yield node
 
@@ -447,7 +447,7 @@ class TestVerifyRange:
     def test_guard_fails_before_any_work(self, monkeypatch, fake_shards):
         enumerated = []
 
-        def counting(spec, shard=(0, 1)):
+        def counting(spec, shard=(0, 1), leads=False):
             enumerated.append(spec.n)
             return iter(())
 
@@ -723,13 +723,15 @@ class TestDriverAgainstEveryFamily:
 
 
 class TestLeastPairOrbitTest:
-    """``_orbit_tasks`` compares least pairs before it sorts any image."""
+    """``_orbit_tasks`` compares least pairs before it sorts any image, on
+    the walk that drops the subtrees holding no orbit lead."""
 
     @pytest.mark.parametrize("kind", ["pairing", "partial-pairing", "quasi", "partial-quasi"])
     def test_keeps_the_sorted_image_choice(self, kind):
         plan = [(("row",), EnumSpec(n, kind)) for n in range(1, 11)]
-        for shard in ((0, 1), (1, 3)):
-            assert list(_orbit_tasks(plan, shard)) == list(orbit_tasks_by_mirror(plan, shard))
+        for k in range(1, 5):
+            for i in range(k):
+                assert list(_orbit_tasks(plan, (i, k))) == list(orbit_tasks_by_mirror(plan, (i, k)))
 
 
 class TestFiledOnlyInstances:
