@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .core import GuardError, Tournament, is_indecomposable, is_module, reverse_pairs, transitive
 from .enumeration import (
+    KINDS,
     EnumSpec,
     census,
     check_guard,
@@ -217,8 +218,7 @@ def _build_parser() -> _Parser:
 
     enum = sub.add_parser("enumerate", help="emit families as JSON lines")
     enum.add_argument("--n", type=_digits, required=True)
-    enum.add_argument("--kind", required=True,
-                      choices=["pairing", "partial-pairing", "quasi", "partial-quasi"])
+    enum.add_argument("--kind", required=True, choices=KINDS)
     enum.add_argument("--irreducible-only", action="store_true")
     enum.add_argument("--include-empty", action="store_true")
     _add_guard_options(enum)
@@ -239,8 +239,7 @@ def _build_parser() -> _Parser:
 
     cens = sub.add_parser("census", help="emit per-family verdicts as JSON lines")
     cens.add_argument("--n", type=_digits, required=True)
-    cens.add_argument("--kind", required=True,
-                      choices=["pairing", "partial-pairing", "quasi", "partial-quasi"])
+    cens.add_argument("--kind", required=True, choices=KINDS)
     _add_guard_options(cens)
     cens.set_defaults(func=_cmd_census)
 

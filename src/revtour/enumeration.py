@@ -11,8 +11,8 @@ so k shards partition the stream; shard (0, 1) is the whole stream.
 ``enumerate_families`` checks the guard and builds a ``PairFamily`` from
 each ``(pairs, mask, hub)`` of ``_family_tuples``; ``theorems`` reads
 the tuples unbuilt, once ``verify_range`` has checked the guard, from a
-walk that with ``leads`` skips the subtrees below depth two whose
-families all come after their mirror image.  Filter ``irreducible-only``
+walk that with ``leads`` skips most families after their mirror image,
+and settles the rest with ``_orbit_lead``.  Filter ``irreducible-only``
 keeps the irreducible families, by their cuts.
 """
 
@@ -40,6 +40,7 @@ from .pairs import (
     _partners,
     is_irreducible_pairing,
     is_irreducible_quasi,
+    mirror_pairs,
 )
 
 KINDS = ("pairing", "partial-pairing", "quasi", "partial-quasi")
@@ -111,7 +112,7 @@ def _pair_walk(
     no pair (a, cap) has a > bar.  A seed that breaks either is dropped; its
     subtree takes ends from the ``ground`` mask of 0..cap, and a first end
     above ``bar`` takes no second end cap.  Depths one and two, and so every
-    ordinal, are walked as without it; ties are left to the caller.
+    ordinal, are walked as without it; ``_orbit_lead`` settles the families kept.
     """
     full = ground = (1 << n) - 1
     bar = n - 1
@@ -190,6 +191,25 @@ def _pair_walk(
         yield from out
 
 
+def _orbit_lead(n: int, pairs: tuple, mask: int) -> bool | None:
+    """None when the walk meets the mirror image of the family with these
+    sorted pairs and support mask first; otherwise whether that image is
+    another family.  Least pairs are compared before any image is sorted."""
+    top = mask.bit_length() - 1
+    # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
+    lead = n - 1 - top - pairs[0][0]
+    if lead == 0:
+        for x, y in reversed(pairs):
+            if y == top:
+                break
+        lead = n - 1 - x - pairs[0][1]
+    if lead > 0:
+        return True
+    if lead == 0 and pairs <= (image := mirror_pairs(n, pairs)):
+        return pairs != image
+    return None
+
+
 def default_limit(kind: str) -> int:
     """Largest n the enumeration guard allows for the kind without an override."""
     return PARTIAL_ENUM_LIMIT if kind.startswith("partial") else FULL_ENUM_LIMIT
@@ -205,7 +225,7 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
 def _family_tuples(spec: EnumSpec, shard=(0, 1), leads: bool = False) -> Iterator[tuple]:
     """The walk's ``(pairs, mask, hub)`` for the families matching the spec
     in ``shard`` (i, k), the empty one first in shard 0; with ``leads``, only
-    those the walk's mirror rules keep, a superset of the orbit leads.  The
+    those the walk's mirror rules keep, a superset of ``_orbit_lead``'s.  The
     shard is checked at the call, not at the first step; the guard is the
     caller's."""
     if not 0 <= shard[0] < shard[1]:

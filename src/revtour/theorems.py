@@ -43,10 +43,10 @@ The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
 invariant under it.  So one family per mirror orbit is checked, the one
 enumerated first, and both members are counted.  The walk is asked for
-``leads``, so it skips most of the members that come second; the orbit
-test drops the rest and settles the ties.  Only a filed row
-builds a family and its details; its mirror image is checked too and
-filed beside it.
+``leads``, so it skips most of the members that come second;
+``_orbit_lead`` drops the rest and settles the ties.  Only an orbit with
+a filed row builds a family and its details; its mirror image is checked
+too and filed beside it.
 
 With ``jobs`` = N > 1 the walks are dealt into N shards.  The caller
 checks shard 0 itself and forks one child for each other shard, which
@@ -59,10 +59,10 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import Callable, Iterator
+from typing import Callable
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
-from .enumeration import EnumSpec, check_guard
+from .enumeration import EnumSpec, _orbit_lead, check_guard
 # The walk's (pairs, mask, hub) tuples, bound to the name under which
 # perfbench/spans.py traces the enumeration layer of this module.
 from .enumeration import _family_tuples as enumerate_families
@@ -77,7 +77,6 @@ from .pairs import (
     _same_size,
     classify,
     is_order_transversal,
-    mirror_pairs,
     mirrored,
 )
 
@@ -90,9 +89,6 @@ Sides = tuple[bool, bool]
 Shape = tuple[tuple[tuple[int, int], ...], int, int, int, int, bool]
 # The out-rows of T(n, F) and a nontrivial module of T(n, F), 0 when it has none.
 Reversal = tuple[list[int], int]
-# Rows, size, the walk's (pairs, mask, hub) for a mirror orbit's first member,
-# and whether its mirror image is another family.
-Task = tuple[tuple[str, ...], int, tuple[tuple, int, int], bool]
 Plan = list[tuple[tuple[str, ...], EnumSpec]]
 
 
@@ -338,60 +334,42 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     return TheoremInstance(n, family, *sides, details, n >= CHARACTERIZATION_MIN_N, label)
 
 
-def _orbit_tasks(plan: Plan, shard=(0, 1)) -> Iterator[Task]:
-    """One task per mirror orbit in the walks' ``shard``, for the member the walk meets first."""
-    for labels, spec in plan:
-        n = spec.n
-        for node in enumerate_families(spec, shard, leads=True):
-            pairs, top = node[0], node[1].bit_length() - 1
-            # The image's least pair is (n - 1 - top, n - 1 - x), x top's largest partner.
-            lead = n - 1 - top - pairs[0][0]
-            if lead == 0:
-                for x, y in reversed(pairs):
-                    if y == top:
-                        break
-                lead = n - 1 - x - pairs[0][1]
-            if lead > 0:
-                yield labels, n, node, True
-            elif lead == 0 and pairs <= (image := mirror_pairs(n, pairs)):
-                yield labels, n, node, pairs != image
-
-
-def _filed(labels: tuple[str, ...], n: int, shape: Shape, reversal: Reversal, paired: bool):
+def _filed(labels: tuple[str, ...], n: int, shape: Shape, paired: bool):
     """Instances for the rows of ``labels`` filed on an orbit's first member,
     and for its mirror twin when ``paired``; none below the hypothesis."""
-    filed = [
-        label for label in labels if (s := _BY_LABEL[label].sides(n, shape, reversal))[0] != s[1]
-    ]
     if n < CHARACTERIZATION_MIN_N:
         return []
     family = (QuasiPairing if shape[2] >= 0 else Pairing)._from_walk(n, *shape[:3])
-    instances = [check_instance(label, n, family) for label in filed]
+    instances = [check_instance(label, n, family) for label in labels]
     if paired:
         image = mirrored(family)
-        twins = [check_instance(label, n, image) for label in filed]
+        twins = [check_instance(label, n, image) for label in labels]
         if [(i.lhs, i.rhs) for i in twins] != [(i.lhs, i.rhs) for i in instances]:
             raise _invariant_broken(n, shape[0], "its mirror image has other sides")
         instances += twins
-    return instances
+    return [inst for inst in instances if inst.lhs != inst.rhs]
 
 
 def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
     """Rows checked on the mirror orbits in ``shard`` of the plan's walks, and the
-    filed instances.  Each entry's sides and full-support flag are read once, each
-    orbit's ``Shape`` and ``Reversal`` once; only an orbit with a filed row goes on."""
+    filed instances.  Each entry's sides and full-support flag are read once, and
+    the ``Shape`` and ``Reversal`` of each family ``_orbit_lead`` keeps once; only
+    an orbit with a filed row goes on."""
     checked, filed = 0, []
     for labels, spec in plan:
         n, full = spec.n, not spec.is_partial
         sides = [_BY_LABEL[label].sides for label in labels]
-        for _, _, (pairs, mask, hub), paired in _orbit_tasks([(labels, spec)], shard):
+        for pairs, mask, hub in enumerate_families(spec, shard, leads=True):
+            paired = _orbit_lead(n, pairs, mask)
+            if paired is None:
+                continue
             checked += len(labels) * (1 + paired)
             shape = _shape(n, pairs, mask, hub)
             reversal = _reversal(n, shape, full)
             for side in sides:
                 lhs, rhs = side(n, shape, reversal)
                 if lhs != rhs:
-                    filed += _filed(labels, n, shape, reversal, paired)
+                    filed += _filed(labels, n, shape, paired)
                     break
     return checked, filed
 

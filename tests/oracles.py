@@ -1,15 +1,17 @@
 """Independent reference implementations used to cross-check results.
 
 Everything here is deliberately naive: straight from the definitions,
-sharing nothing with the package internals beyond public data access.
+sharing nothing with the package internals beyond public data access,
+save ``pair_walk_generator``, an older form of the walk, which reuses the
+cut helpers ``_cuts`` and ``_hub_cuts``.
 """
 
 from itertools import accumulate, combinations, count, permutations
 from math import comb
 from typing import Iterator
 
-from revtour.enumeration import _family_tuples, _hub_cuts
-from revtour.pairs import _cuts, mirror_pairs
+from revtour.enumeration import _hub_cuts
+from revtour.pairs import _cuts
 
 
 def involution_count(n: int) -> int:
@@ -203,26 +205,13 @@ def walk_tuple(pairs):
     return tuple(pairs), sum(1 << v for v in counts), hub
 
 
-def unreduced_tasks(plan, shard=(0, 1)):
-    """Every family of the walks' shard, as ``_family_tuples`` deals it, as
-    a task of its own, with no mirror image to stand for:
-    ``revtour.theorems._orbit_tasks`` before the mirror-orbit reduction,
-    fed to the same driver."""
-    for labels, spec in plan:
-        for pairs, *_ in _family_tuples(spec, shard):
-            yield labels, spec.n, walk_tuple(pairs), False
-
-
-def orbit_tasks_by_mirror(plan, shard=(0, 1)):
-    """One task per mirror orbit of the walks' shard, keeping a family whose
-    pair tuple is not larger than its mirrored tuple:
-    ``revtour.theorems._orbit_tasks`` before its least-pair test, sorting
-    the image of every family."""
-    for labels, spec in plan:
-        for pairs, *_ in _family_tuples(spec, shard):
-            image = mirror_pairs(spec.n, pairs)
-            if pairs <= image:
-                yield labels, spec.n, walk_tuple(pairs), pairs != image
+def lead_by_mirror(n, pairs):
+    """``revtour.enumeration._orbit_lead`` by sorting the mirror image
+    (x -> n-1-x) of every family: None when the image's pair tuple is the
+    smaller, else whether the image is another family."""
+    pairs = tuple(pairs)
+    image = tuple(sorted((n - 1 - b, n - 1 - a) for a, b in pairs))
+    return None if image < pairs else image != pairs
 
 
 def _hub_and_partners(pairs):

@@ -321,14 +321,15 @@ class TestVerify:
         _, serial, _ = run(capsys, monkeypatch, argv + ["--jobs", "1"])
         assert fake_shards == []
         orbits = []
-        real = revtour.theorems._orbit_tasks
+        real = revtour.theorems._orbit_lead
 
-        def counting(plan, shard):
-            for task in real(plan, shard):
-                orbits.append(task)
-                yield task
+        def counting(n, pairs, mask):
+            lead = real(n, pairs, mask)
+            if lead is not None:
+                orbits.append(pairs)
+            return lead
 
-        monkeypatch.setattr("revtour.theorems._orbit_tasks", counting)
+        monkeypatch.setattr("revtour.theorems._orbit_lead", counting)
         _, sharded, _ = run(capsys, monkeypatch, argv + ["--jobs", "2"])
         # Two shards for the whole run, each taking its share of every walk.
         # Together they check one family per mirror orbit: 16 of the 30

@@ -381,7 +381,7 @@ class TestDrainedWalk:
 
 class TestLeadWalk:
     """With ``leads`` the walk drops only families whose mirror image it
-    meets first; ``_orbit_tasks`` settles the rest in ``test_theorems``."""
+    meets first; ``_orbit_lead`` settles the rest in ``test_theorems``."""
 
     # Walk sizes with ``leads``; a walk that filtered its families after
     # building them, or gave a kept subtree every vertex, would yield the same

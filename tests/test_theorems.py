@@ -32,6 +32,7 @@ from revtour import (
     verify_range,
 )
 from revtour.core import is_indecomposable_rows, module_rows, reversal_rows
+from revtour.enumeration import KINDS, _family_tuples, _orbit_lead
 from revtour.pairs import _same_size, mirror_pairs
 from revtour.theorems import (
     CHECKS,
@@ -41,7 +42,6 @@ from revtour.theorems import (
     _c1,
     _check_shard,
     _family_shape,
-    _orbit_tasks,
     _reduced_c4,
     _reversal,
     _theorem3_conditions,
@@ -51,10 +51,9 @@ from revtour.theorems import (
 from oracles import (
     anatomy_by_sorting,
     indecomposable_by_pairs,
-    orbit_tasks_by_mirror,
+    lead_by_mirror,
     reduced_c4_by_sets,
     theorem3_conditions_by_sets,
-    unreduced_tasks,
     walk_tuple,
 )
 
@@ -304,8 +303,11 @@ class TestVerifyRange:
     def test_workers_return_only_filed_instances(self, monkeypatch):
         def check_orbit(labels, n, pairs, paired):
             # A shard whose walk holds one mirror orbit, with ``pairs`` its first member.
-            task = labels, n, walk_tuple(pairs), paired
-            monkeypatch.setattr("revtour.theorems._orbit_tasks", lambda plan, shard: iter([task]))
+            node = walk_tuple(pairs)
+            monkeypatch.setattr(
+                "revtour.theorems.enumerate_families", lambda spec, shard, leads: iter([node])
+            )
+            monkeypatch.setattr("revtour.theorems._orbit_lead", lambda n, pairs, mask: paired)
             return _check_shard([(labels, EnumSpec(n, _BY_LABEL[labels[0]].kind))], (0, 1))
 
         agreeing = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
@@ -358,7 +360,9 @@ class TestVerifyRange:
         # T(9, Q) - d, is trivial there, and a deletion found indecomposable
         # settles rhs.
         whole, searches = (1 << 9) - 1, 0
-        for _, _, (pairs, _, _), _ in _orbit_tasks([((), EnumSpec(9, "quasi"))]):
+        for pairs, mask, _ in _family_tuples(EnumSpec(9, "quasi"), leads=True):
+            if _orbit_lead(9, pairs, mask) is None:
+                continue
             rows = reversal_rows(9, pairs)
             module = module_rows(rows, whole)
             for d in anatomy_by_sorting(pairs)[1:3] if module else ():
@@ -644,12 +648,16 @@ def report_doc(theorem, jobs=1):
 
 class TestMirrorOrbits:
     """Checking one family per mirror orbit gives the report of checking
-    every family, the unreduced stream of ``oracles.unreduced_tasks``."""
+    every family: the plain walk, each family checked alone."""
 
     @staticmethod
     def unreduced_doc(theorem):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("revtour.theorems._orbit_tasks", unreduced_tasks)
+            patch.setattr(
+                "revtour.theorems.enumerate_families",
+                lambda spec, shard, leads: _family_tuples(spec, shard),
+            )
+            patch.setattr("revtour.theorems._orbit_lead", lambda n, pairs, mask: False)
             return report_doc(theorem)
 
     @pytest.mark.parametrize("theorem", [1, 2, 3, "corollaries"])
@@ -723,19 +731,35 @@ class TestDriverAgainstEveryFamily:
 
 
 class TestLeastPairOrbitTest:
-    """``_orbit_tasks`` compares least pairs before it sorts any image, on
-    the walk that drops the subtrees holding no orbit lead."""
+    """``_orbit_lead`` compares least pairs before it sorts any image; on
+    the walk that drops the subtrees holding no orbit lead, it keeps the
+    leads that sorting every image keeps on the plain walk."""
 
-    @pytest.mark.parametrize("kind", ["pairing", "partial-pairing", "quasi", "partial-quasi"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_verdict_as_the_sorted_image(self, kind):
+        for n in range(1, 11):
+            for pairs, mask, _ in _family_tuples(EnumSpec(n, kind)):
+                assert _orbit_lead(n, pairs, mask) is lead_by_mirror(n, pairs), (n, pairs)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_keeps_the_sorted_image_choice(self, kind):
-        plan = [(("row",), EnumSpec(n, kind)) for n in range(1, 11)]
-        for k in range(1, 5):
-            for i in range(k):
-                assert list(_orbit_tasks(plan, (i, k))) == list(orbit_tasks_by_mirror(plan, (i, k)))
+        for n in range(1, 11):
+            spec = EnumSpec(n, kind)
+            for k in range(1, 5):
+                for i in range(k):
+                    kept = [
+                        (*node, lead) for node in _family_tuples(spec, (i, k), leads=True)
+                        if (lead := _orbit_lead(n, *node[:2])) is not None
+                    ]
+                    assert kept == [
+                        (*node, lead) for node in _family_tuples(spec, (i, k))
+                        if (lead := lead_by_mirror(n, node[0])) is not None
+                    ], (n, i, k)
 
 
 class TestFiledOnlyInstances:
-    """The checker makes a ``TheoremInstance`` only for a filed row."""
+    """The checker makes a ``TheoremInstance`` only on an orbit with a filed
+    row, one per row and member, and files only those whose sides differ."""
 
     @staticmethod
     def count_instances(monkeypatch):
@@ -758,6 +782,16 @@ class TestFiledOnlyInstances:
         report = verify_range(2, 5, 5)
         filed = report.violations + report.recorded
         assert filed and sorted(map(id, made)) == sorted(map(id, filed))
+
+    def test_only_the_filed_rows_of_an_orbit(self, monkeypatch):
+        # Corollary 2 files every quasi-pairing at n = 7.  Corollary 3 reads
+        # the same orbits and files none, though its instances are made too.
+        made = self.count_instances(monkeypatch)
+        patch_sides(monkeypatch, corollary2=lambda n, shape, reversal: (True, False))
+        report = verify_range("corollaries", 7, 7)
+        assert report.checked == 2 * 315 and not report.recorded
+        assert [i.label for i in report.violations] == ["corollary2"] * 315
+        assert len(made) == 2 * 315
 
     @staticmethod
     def count_families(monkeypatch):
