@@ -51,9 +51,7 @@ from .enumeration import (
 from .theorems import (
     TheoremInstance,
     VerificationReport,
-    theorem1_sides,
-    theorem2_sides,
-    theorem3_conditions,
+    check_instance,
     verify_range,
 )
 

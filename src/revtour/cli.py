@@ -231,7 +231,8 @@ def _build_parser() -> _Parser:
     count.set_defaults(func=_cmd_count)
 
     verify = sub.add_parser("verify", help="check a theorem exhaustively")
-    verify.add_argument("--theorem", required=True, choices=["1", "2", "3", "corollaries"])
+    theorems = dict.fromkeys(str(check.run) for check in CHECKS)
+    verify.add_argument("--theorem", required=True, choices=theorems)
     verify.add_argument("--n-range", required=True, help="ambient sizes a..b")
     verify.add_argument("--jobs", type=_digits, default=1)
     _add_guard_options(verify)

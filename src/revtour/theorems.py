@@ -33,11 +33,12 @@ theorem and corollary, giving its family kind, the ambient sizes where
 it applies, its two sides, its named conditions and its filing rule.
 One driver, ``verify_range``, runs the rows of a theorem id or of
 "corollaries" on one pair walk per (n, kind), after checking the
-enumeration guard for all of them.  The sides of a walk's rows, and
-whether its kind has full support, are read once per walk; each orbit's
-``(pairs, mask, hub)`` gets one ``Shape`` and one ``Reversal``, which
-every row reads.  Each side is evaluated in order of cost, bit tests,
-then irreducibility, then module searches, and stops once it is known.
+enumeration guard for all of them.  The sides of a walk's rows are read
+once per walk; each orbit's ``(pairs, mask, hub)`` gets one ``Shape`` and
+one ``Reversal``, which every row reads.  Each side is evaluated in order
+of cost, bit tests, then irreducibility, then module searches, and stops
+once it is known.  ``check_instance`` evaluates one row on one family,
+with its details; it is the one public entry to a single row.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
 which has the same modules, and every side and condition above is
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from typing import Callable
 
 from .core import is_indecomposable_rows, module_rows, reversal_rows
@@ -139,15 +139,6 @@ class VerificationReport(Record):
         }
 
 
-def _warn_outside_hypothesis(n: int) -> None:
-    if n < CHARACTERIZATION_MIN_N:
-        warnings.warn(
-            f"characterizations are stated for n >= {CHARACTERIZATION_MIN_N}; "
-            f"n={n} is computed but outside the hypothesis",
-            stacklevel=3,
-        )
-
-
 def _shape(n: int, pairs: tuple, mask: int, hub: int) -> Shape:
     """The ``Shape`` of the family with these sorted pairs, support mask and hub."""
     low, high = _partners(pairs, hub) if hub >= 0 else (-1, -1)
@@ -184,30 +175,6 @@ def _deletion_indecomposable(n: int, reversal: Reversal, d: int) -> bool:
     return not (left & left - 1 and left != rest) and is_indecomposable_rows(reversal[0], rest)
 
 
-def theorem1_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
-    """(indecomposable, irreducible-transversal) for a partial pairing."""
-    _warn_outside_hypothesis(n)
-    return (inst := check_instance("theorem1", n, family)).lhs, inst.rhs
-
-
-def theorem2_sides(n: int, family: PairFamily) -> tuple[bool, bool]:
-    """(irreducible-transversal, some-deletion-indecomposable) for a quasi-pairing."""
-    _warn_outside_hypothesis(n)
-    return (inst := check_instance("theorem2", n, family)).lhs, inst.rhs
-
-
-def theorem3_conditions(n: int, family: PairFamily) -> tuple[bool, bool, bool, bool]:
-    """The four conditions (C1)-(C4) for a partial quasi-pairing.
-
-    (C3) and (C4) quantify v over all vertices, but only pairs
-    {x, x+2} and {x, x+1} can meet their antecedents, so each is a test
-    on the bit mask of such pairs' least ends.
-    """
-    _warn_outside_hypothesis(n)
-    shape = _family_shape("theorem3", n, family)
-    return _c1(shape), *_theorem3_conditions(n, shape)[:3]
-
-
 def _c1(shape: Shape) -> bool:
     """(C1), which is also theorem 2's lhs: the support is transversal and
     the pairs, with the virtual pair {low, high} for the hub, are irreducible."""
@@ -216,7 +183,12 @@ def _c1(shape: Shape) -> bool:
 
 
 def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, int]:
-    """(C2)-(C4), the bit tests, then the bit mask of x over the family's pairs {x, x + 1}."""
+    """(C2)-(C4), the bit tests, then the bit mask of x over the family's pairs {x, x + 1}.
+
+    (C3) and (C4) quantify v over all vertices, but only pairs
+    {x, x+2} and {x, x+1} can meet their antecedents, so each is a test
+    on the bit mask of such pairs' least ends.
+    """
     pairs, mask, hub, low, high, _ = shape
     c2 = high >= low + 2
     # Bit masks of x over the pairs {x, x + 1} and over the pairs {x, x + 2}.
@@ -304,32 +276,40 @@ CHECKS = (
 _BY_LABEL = {check.label: check for check in CHECKS}
 
 
-def _family_shape(label: str, n: int, family: PairFamily) -> Shape:
-    """The ``Shape`` of a family given to the table row ``label`` over
-    0..n-1; ValueError when the family is not of the row's kind."""
-    if label not in _BY_LABEL:
-        raise ValueError(f"unknown row {label!r}, want one of {tuple(_BY_LABEL)}")
-    _same_size(n, family)
-    kind = _BY_LABEL[label].kind
-    full = family.mask if kind.startswith("partial") else (1 << n) - 1
-    wanted = "quasi-pairing" if "quasi" in kind else "pairing"
-    if classify(family) != wanted or family.mask != full:
-        raise ValueError(f"{label} takes a family of kind {kind!r}, got {family.serialize()!r}")
-    return _shape(n, family.pairs, family.mask, family._hub)
-
-
-def _reversal(n: int, shape: Shape, full: bool) -> Reversal:
-    """The ``Reversal`` every row reads; a ``full`` kind's support meets every minimal co-module."""
-    if full and not shape[5]:
+def _reversal(n: int, shape: Shape) -> Reversal:
+    """The ``Reversal`` every row reads, whatever the row's kind.  A support
+    equal to the ground meets every minimal co-module."""
+    ground = (1 << n) - 1
+    if shape[1] == ground and not shape[5]:
         raise _invariant_broken(n, shape[0], "full support misses a minimal co-module")
     rows = reversal_rows(n, shape[0])
-    return rows, module_rows(rows, (1 << n) - 1)
+    return rows, module_rows(rows, ground)
 
 
 def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
-    """Evaluate the table row ``label`` on one family over 0..n-1, with its details."""
-    shape, check = _family_shape(label, n, family), _BY_LABEL[label]
-    reversal = _reversal(n, shape, not check.kind.startswith("partial"))
+    """Evaluate the table row ``label`` on one family over 0..n-1, with its details.
+
+    The labels are the rows of ``CHECKS``: "theorem1" takes a partial
+    pairing, "theorem2" and "theorem3" a partial quasi-pairing,
+    "corollary1" a pairing and "corollary2" and "corollary3" a
+    quasi-pairing, both on all of 0..n-1.  ValueError for an unknown
+    label, a family over another ground set or one of another kind.
+    ``in_hypothesis`` is False below n = 5, where the characterizations
+    are not stated; the instance is computed all the same.
+    """
+    if label not in _BY_LABEL:
+        raise ValueError(f"unknown row {label!r}, want one of {tuple(_BY_LABEL)}")
+    _same_size(n, family)
+    check = _BY_LABEL[label]
+    spec = EnumSpec(n, check.kind)
+    full = family.mask if spec.is_partial else (1 << n) - 1
+    wanted = "quasi-pairing" if spec.is_quasi else "pairing"
+    if classify(family) != wanted or family.mask != full:
+        raise ValueError(
+            f"{label} takes a family of kind {check.kind!r}, got {family.serialize()!r}"
+        )
+    shape = _shape(n, family.pairs, family.mask, family._hub)
+    reversal = _reversal(n, shape)
     sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
     return TheoremInstance(n, family, *sides, details, n >= CHARACTERIZATION_MIN_N, label)
 
@@ -352,12 +332,12 @@ def _filed(labels: tuple[str, ...], n: int, shape: Shape, paired: bool):
 
 def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
     """Rows checked on the mirror orbits in ``shard`` of the plan's walks, and the
-    filed instances.  Each entry's sides and full-support flag are read once, and
-    the ``Shape`` and ``Reversal`` of each family ``_orbit_lead`` keeps once; only
-    an orbit with a filed row goes on."""
+    filed instances.  Each entry's sides are read once, and the ``Shape`` and
+    ``Reversal`` of each family ``_orbit_lead`` keeps once; only an orbit with a
+    filed row goes on."""
     checked, filed = 0, []
     for labels, spec in plan:
-        n, full = spec.n, not spec.is_partial
+        n = spec.n
         sides = [_BY_LABEL[label].sides for label in labels]
         for pairs, mask, hub in enumerate_families(spec, shard, leads=True):
             paired = _orbit_lead(n, pairs, mask)
@@ -365,7 +345,7 @@ def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
                 continue
             checked += len(labels) * (1 + paired)
             shape = _shape(n, pairs, mask, hub)
-            reversal = _reversal(n, shape, full)
+            reversal = _reversal(n, shape)
             for side in sides:
                 lhs, rhs = side(n, shape, reversal)
                 if lhs != rhs:
@@ -453,10 +433,12 @@ def verify_range(
     """Check a theorem (1, 2 or 3) or "corollaries" over every enumerated
     instance with n_min <= n <= n_max.
 
-    Instances outside the stated hypothesis are evaluated and tagged but
-    never counted as violations.  One family per mirror orbit is checked
-    and ``checked`` counts both members.  Filed instances are ordered by
-    n, then table row, then enumeration order, whatever the job count.
+    Families below the stated hypothesis, n < 5, are checked and counted
+    in ``checked``, but none is filed: only ``check_instance`` makes an
+    instance with ``in_hypothesis`` False.  One family per mirror orbit is
+    checked and ``checked`` counts both members.  Filed instances are
+    ordered by n, then table row, then enumeration order, whatever the job
+    count.
     ``jobs`` must be at least 1 and is capped at the number of CPUs; more
     than 1 needs ``os.fork``.
     """

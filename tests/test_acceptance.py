@@ -10,7 +10,6 @@ not the pairings themselves.
 
 import random
 import time
-import warnings
 from itertools import permutations
 
 from revtour import (
@@ -19,6 +18,7 @@ from revtour import (
     Tournament,
     all_modules_bruteforce,
     canonical_form,
+    check_instance,
     comodular_index_total_order,
     dual,
     enumerate_families,
@@ -34,12 +34,10 @@ from revtour import (
     module_closure,
     relabel,
     reverse_pairs,
-    theorem1_sides,
     transitive,
     verify_range,
 )
 from revtour.core import pair_count
-from revtour.theorems import check_instance
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -142,11 +140,9 @@ def test_criterion_4_pairing_characterization():
     start = time.perf_counter()
     rep = verify_range(1, 5, 8)
     boundary = Pairing(4, [(0, 2), (1, 3)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lhs, rhs = theorem1_sides(4, boundary)
+    inst = check_instance("theorem1", 4, boundary)
     boundary_ok = (
-        (lhs, rhs) == (False, True)
+        (inst.lhs, inst.rhs) == (False, True)
         and is_irreducible_pairing(boundary)
         and is_module(reverse_pairs(transitive(4), boundary), {0, 3})
     )

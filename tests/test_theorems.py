@@ -25,9 +25,6 @@ from revtour import (
     is_irreducible_pairing,
     is_module,
     reverse_pairs,
-    theorem1_sides,
-    theorem2_sides,
-    theorem3_conditions,
     transitive,
     verify_range,
 )
@@ -41,9 +38,9 @@ from revtour.theorems import (
     TheoremInstance,
     _c1,
     _check_shard,
-    _family_shape,
     _reduced_c4,
     _reversal,
+    _shape,
     _theorem3_conditions,
     check_instance,
 )
@@ -68,26 +65,38 @@ def patch_sides(monkeypatch, **sides):
     monkeypatch.setattr("revtour.theorems._BY_LABEL", {c.label: c for c in rows})
 
 
+def row_sides(label, n, family):
+    """The (lhs, rhs) of the table row ``label`` on one family."""
+    inst = check_instance(label, n, family)
+    return inst.lhs, inst.rhs
+
+
+def quasi_conditions(n, family):
+    """(C1)-(C4) of a partial quasi-pairing, from theorem 3's details."""
+    details = check_instance("theorem3", n, family).details
+    return details["c1"], details["c2"], details["c3"], details["c4"]
+
+
 class TestTheorem1:
     def test_witness_instance(self):
-        assert theorem1_sides(5, Pairing(5, [(0, 2), (1, 4)])) == (True, True)
+        assert row_sides("theorem1", 5, Pairing(5, [(0, 2), (1, 4)])) == (True, True)
 
     def test_adjacent_block_fails_both_sides(self):
-        assert theorem1_sides(5, Pairing(5, [(0, 1), (2, 4)])) == (False, False)
+        assert row_sides("theorem1", 5, Pairing(5, [(0, 1), (2, 4)])) == (False, False)
 
     def test_boundary_at_four_vertices(self):
         # Below the stated threshold the equivalence genuinely breaks:
         # this pairing is irreducible but its reversal has module {0, 3}.
         family = Pairing(4, [(0, 2), (1, 3)])
-        with pytest.warns(UserWarning):
-            lhs, rhs = theorem1_sides(4, family)
-        assert (lhs, rhs) == (False, True)
+        inst = check_instance("theorem1", 4, family)
+        assert (inst.lhs, inst.rhs) == (False, True)
+        assert not inst.in_hypothesis
         assert is_irreducible_pairing(family)
         assert is_module(reverse_pairs(transitive(4), family), {0, 3})
 
     def test_rejects_non_pairing(self):
         with pytest.raises(ValueError):
-            theorem1_sides(5, PairFamily(5, [(0, 2), (2, 4)]))
+            check_instance("theorem1", 5, PairFamily(5, [(0, 2), (2, 4)]))
 
 
 class TestTheorem2:
@@ -95,11 +104,11 @@ class TestTheorem2:
         # Support misses the minimal co-module {0}, so the transversal side
         # fails and so do all three deletion checks.
         family = QuasiPairing(6, [(1, 3), (3, 5), (2, 4)])
-        assert theorem2_sides(6, family) == (False, False)
+        assert row_sides("theorem2", 6, family) == (False, False)
 
     def test_equivalence_sample_at_six(self):
         family = QuasiPairing(6, [(0, 2), (2, 4), (1, 3)])
-        lhs, rhs = theorem2_sides(6, family)
+        lhs, rhs = row_sides("theorem2", 6, family)
         assert lhs == rhs
 
     def test_details_are_three_searches_to_nine_points(self):
@@ -120,21 +129,21 @@ class TestTheorem2:
         # Irreducible transversal quasi-pairing whose three tournaments are
         # all decomposable; only the right-to-left implication is claimed.
         family = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        assert theorem2_sides(5, family) == (True, False)
+        assert row_sides("theorem2", 5, family) == (True, False)
 
 
 class TestTheorem3Conditions:
     def test_interleaving_breaks_c3(self):
         family = QuasiPairing(5, [(0, 2), (2, 4), (1, 3)])
-        assert theorem3_conditions(5, family) == (True, True, False, True)
+        assert quasi_conditions(5, family) == (True, True, False, True)
 
     def test_hub_at_end_satisfies_all(self):
         family = QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])
-        assert theorem3_conditions(5, family) == (True, True, True, True)
+        assert quasi_conditions(5, family) == (True, True, True, True)
 
     def test_adjacent_pair_with_covered_neighbors(self):
         family = QuasiPairing(5, [(0, 1), (1, 3), (2, 4)])
-        c1, c2, c3, c4 = theorem3_conditions(5, family)
+        c1, c2, c3, c4 = quasi_conditions(5, family)
         assert c4 is True
 
 
@@ -145,7 +154,7 @@ class TestTheorem3ConditionOracle:
         seen = 0
         for n in range(3, 10):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                shape = _family_shape("theorem3", n, family)
+                shape = _shape(n, family.pairs, family.mask, family._hub)
                 assert (_c1(shape), *_theorem3_conditions(n, shape)[:3]) == (
                     theorem3_conditions_by_sets(n, family.pairs)
                 ), family
@@ -155,7 +164,7 @@ class TestTheorem3ConditionOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            shape = _family_shape("corollary3", n, family)
+            shape = _shape(n, family.pairs, family.mask, family._hub)
             *conditions, adjacent = _theorem3_conditions(n, shape)
             hub = anatomy_by_sorting(family.pairs)[0]
             assert (_c1(shape), *conditions, _reduced_c4(n, hub, adjacent)) == (
@@ -186,17 +195,22 @@ class TestTheorem3Check:
 
 
 class TestTheorem3Warnings:
-    FAMILY = QuasiPairing(4, [(0, 2), (2, 3)])
-
-    def test_public_conditions_warn_below_hypothesis(self):
-        with pytest.warns(UserWarning, match="outside the hypothesis"):
-            theorem3_conditions(4, self.FAMILY)
+    # A family of each row's kind below the hypothesis; a full quasi-pairing
+    # needs an odd ground set.
+    FAMILIES = {
+        "partial-pairing": Pairing(4, [(0, 2)]),
+        "partial-quasi": QuasiPairing(4, [(0, 2), (2, 3)]),
+        "pairing": Pairing(4, [(0, 2), (1, 3)]),
+        "quasi": QuasiPairing(3, [(0, 2), (1, 2)]),
+    }
 
     def test_table_row_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            inst = check_instance("theorem3", 4, self.FAMILY)
-        assert not inst.in_hypothesis
+        for check in CHECKS:
+            family = self.FAMILIES[check.kind]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                inst = check_instance(check.label, family.n, family)
+            assert not inst.in_hypothesis, check.label
 
 
 class TestRowPath:
@@ -231,8 +245,8 @@ class TestShortCircuitedSides:
     def test_sides_are_the_details_combined(self, label, n):
         check, whole = _BY_LABEL[label], (1 << n) - 1
         for family in enumerate_families(EnumSpec(n, check.kind)):
-            shape = _family_shape(label, n, family)
-            reversal = _reversal(n, shape, not check.kind.startswith("partial"))
+            shape = _shape(n, family.pairs, family.mask, family._hub)
+            reversal = _reversal(n, shape)
             sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
             rows, pairs = reversal[0], family.pairs
             indecomposable = indecomposable_by_pairs(rows, whole)
@@ -265,8 +279,8 @@ class TestConditionConsistency:
 
         for n in (5, 6):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                c1 = theorem3_conditions(n, family)[0]
-                lhs, _ = theorem2_sides(n, family)
+                c1 = quasi_conditions(n, family)[0]
+                lhs, _ = row_sides("theorem2", n, family)
                 assert c1 == lhs
 
 
@@ -907,9 +921,12 @@ QUASI6 = QuasiPairing(6, [(0, 2), (2, 4), (1, 3)])
 
 class TestSizeMismatch:
     @pytest.mark.parametrize("entry, family", [
-        (theorem1_sides, PAIRING6),
-        (theorem2_sides, QUASI6),
-        (theorem3_conditions, QUASI6),
+        # A family of another kind, too: the size is checked first.
+        *[
+            (partial(check_instance, label), family)
+            for label, family in (("theorem1", QUASI6), ("theorem3", PAIRING6),
+                                  ("corollary1", QUASI6))
+        ],
         (_same_size, QUASI6),
         *[
             (partial(check_instance, c.label), PAIRING6 if "pairing" in c.kind else QUASI6)
@@ -977,7 +994,7 @@ class TestInvariants:
         monkeypatch.setattr("revtour.theorems._shape", every_vertex_hub)
         family = QuasiPairing(5, [(0, 2), (2, 3), (1, 4)])
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,1-4,2-3'.*endpoint"):
-            theorem3_conditions(5, family)
+            check_instance("theorem3", 5, family)
 
     def test_full_support_meets_every_comodule(self, monkeypatch):
         monkeypatch.setattr("revtour.theorems.is_order_transversal", lambda n, mask: False)
@@ -985,6 +1002,8 @@ class TestInvariants:
             ("corollary1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)])),
             ("corollary2", 7, QuasiPairing(7, [(0, 2), (2, 4), (1, 5), (3, 6)])),
             ("corollary3", 5, QuasiPairing(5, [(0, 2), (0, 4), (1, 3)])),
+            # A partial row on a family whose support is the whole ground.
+            ("theorem1", 6, Pairing(6, [(0, 2), (1, 4), (3, 5)])),
         ):
             with pytest.raises(RuntimeError, match=f"n={n}, pairs '{family.serialize()}'"):
                 check_instance(label, n, family)
