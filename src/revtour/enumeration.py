@@ -11,9 +11,10 @@ so k shards partition the stream; shard (0, 1) is the whole stream.
 ``enumerate_families`` checks the guard and builds a ``PairFamily`` from
 each ``(pairs, mask, hub)`` of ``_family_tuples``; ``theorems`` reads
 the tuples unbuilt, once ``verify_range`` has checked the guard, from a
-walk that with ``leads`` skips most families after their mirror image,
-and settles the rest with ``_orbit_lead``.  Filter ``irreducible-only``
-keeps the irreducible families, by their cuts.
+walk that with ``leads`` skips most families after their mirror image
+and hands on each kept family's out-rows as a fourth field; it settles
+the rest with ``_orbit_lead``.  Filter ``irreducible-only`` keeps the
+irreducible families, by their cuts.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def _pair_walk(
     subtree takes ends from the ``ground`` mask of 0..cap, and a first end
     above ``bar`` takes no second end cap.  Depths one and two, and so every
     ordinal, are walked as without it; ``_orbit_lead`` settles the families kept.
+    A family then comes out as ``(pairs, mask, hub, rows)``, with a copy of the
+    out-rows of T(n, F): one list, set by ``reversal_rows`` at the start and at
+    each seed, in which a pair flips its two bits on push and back on pop.
     """
     full = ground = (1 << n) - 1
     bar = n - 1
@@ -121,6 +125,7 @@ def _pair_walk(
     mine, k = shard
     ordinals = count()
     cuts = {0}
+    rows = reversal_rows(n, ())  # the total order's out-rows
 
     def rec(pa: int, pb: int, once: int, twice: int, hubs: int, depth: int) -> None:
         covered = once | twice
@@ -159,24 +164,32 @@ def _pair_walk(
                         if len(cuts) < len(placed):
                             continue
                 acc.append((a, b))
+                if leads:
+                    rows[a] ^= high
+                    rows[b] ^= low
                 theirs = k > 1 and depth < 3 and next(ordinals) % k != mine
                 complete = not full_support or now_once | now_twice == full
                 # A node holds a pair at least, and two pairs once it has a hub.
                 if complete and now_hubs == doubled and not theirs:
                     now_covered = now_once | now_twice
                     if not irreducible or cuts.isdisjoint(_cuts(now_covered, now_covered, a + 1)):
-                        out.append((tuple(acc), now_covered, now_twice.bit_length() - 1))
+                        hub = now_twice.bit_length() - 1
+                        out.append((tuple(acc), now_covered, hub, rows[:]) if leads else
+                                   (tuple(acc), now_covered, hub))
                 if depth != 2:
                     rec(a, b, now_once, now_twice, now_hubs, depth + 1)
                 elif not theirs:
                     out.append((acc[:], a, b, now_once, now_twice, now_hubs, irreducible and {*cuts}))
                 acc.pop()
+                if leads:
+                    rows[a] ^= high
+                    rows[b] ^= low
             if prune:
                 cuts.difference_update(settled)
 
     rec(0, 0, 0, 0, 0, 1)
     for node in out[:]:
-        if len(node) == 3:  # a family of one or two pairs; a seed has seven fields
+        if len(node) < 7:  # a family of one or two pairs; a seed has seven fields
             yield node
             continue
         out.clear()
@@ -187,6 +200,7 @@ def _pair_walk(
             if (once | twice) >> cap + 1 or b == cap and a > bar:
                 continue  # (R1) or (R2) broken at depth two
             ground = (2 << cap) - 1
+            rows = reversal_rows(n, acc)
         rec(a, b, once, twice, hubs, 3)
         yield from out
 
@@ -225,15 +239,15 @@ def check_guard(spec: EnumSpec, max_n: int | None) -> None:
 def _family_tuples(spec: EnumSpec, shard=(0, 1), leads: bool = False) -> Iterator[tuple]:
     """The walk's ``(pairs, mask, hub)`` for the families matching the spec
     in ``shard`` (i, k), the empty one first in shard 0; with ``leads``, only
-    those the walk's mirror rules keep, a superset of ``_orbit_lead``'s.  The
-    shard is checked at the call, not at the first step; the guard is the
-    caller's."""
+    those the walk's mirror rules keep, a superset of ``_orbit_lead``'s, as
+    ``(pairs, mask, hub, rows)`` with their out-rows.  The shard is checked
+    at the call, not at the first step; the guard is the caller's."""
     if not 0 <= shard[0] < shard[1]:
         raise ValueError(f"shard (i, k) needs 0 <= i < k, got {shard!r}")
     irreducible = spec.filter == "irreducible-only"
     walk = _pair_walk(spec.n, int(spec.is_quasi), not spec.is_partial, shard, irreducible, leads)
     if spec.include_empty and not (shard[0] or spec.is_quasi) and (spec.is_partial or not spec.n):
-        return chain([((), 0, -1)], walk)
+        return chain([((), 0, -1, reversal_rows(spec.n, ())) if leads else ((), 0, -1)], walk)
     return walk
 
 

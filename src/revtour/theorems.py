@@ -34,10 +34,10 @@ it applies, its two sides, its named conditions and its filing rule.
 One driver, ``verify_range``, runs the rows of a theorem id or of
 "corollaries" on one pair walk per (n, kind), after checking the
 enumeration guard for all of them.  The sides of a walk's rows are read
-once per walk; each orbit's ``(pairs, mask, hub)`` gets one ``Shape`` and
-one ``Reversal``, which every row reads.  Each side is evaluated in order
-of cost, bit tests, then irreducibility, then module searches, and stops
-once it is known.  ``check_instance`` evaluates one row on one family,
+once per walk; each orbit's ``(pairs, mask, hub, rows)``, with the
+out-rows the walk carries, gets one ``Shape`` and one ``Reversal``, which
+every row reads.  Each side is evaluated in order of cost, bit tests,
+then irreducibility, then module searches, and stops once it is known.  ``check_instance`` evaluates one row on one family,
 with its details; it is the one public entry to a single row.
 
 The relabeling x -> n-1-x carries T(n, F) to the dual of T(n, mirror F),
@@ -61,9 +61,9 @@ import os
 import time
 from typing import Callable
 
-from .core import is_indecomposable_rows, module_rows, reversal_rows
+from .core import _order_rows, is_indecomposable_rows, module_rows, reversal_rows
 from .enumeration import EnumSpec, _orbit_lead, check_guard
-# The walk's (pairs, mask, hub) tuples, bound to the name under which
+# The walk's (pairs, mask, hub, rows) tuples, bound to the name under which
 # perfbench/spans.py traces the enumeration layer of this module.
 from .enumeration import _family_tuples as enumerate_families
 from .pairs import (
@@ -73,7 +73,6 @@ from .pairs import (
     Record,
     _invariant_broken,
     _irreducible,
-    _partners,
     _same_size,
     classify,
     is_order_transversal,
@@ -137,12 +136,6 @@ class VerificationReport(Record):
             "recorded": [inst.to_record() for inst in self.recorded],
             "ms": round(self.ms, 3),
         }
-
-
-def _shape(n: int, pairs: tuple, mask: int, hub: int) -> Shape:
-    """The ``Shape`` of the family with these sorted pairs, support mask and hub."""
-    low, high = _partners(pairs, hub) if hub >= 0 else (-1, -1)
-    return pairs, mask, hub, low, high, is_order_transversal(n, mask)
 
 
 def _theorem1_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
@@ -276,14 +269,21 @@ CHECKS = (
 _BY_LABEL = {check.label: check for check in CHECKS}
 
 
-def _reversal(n: int, shape: Shape) -> Reversal:
-    """The ``Reversal`` every row reads, whatever the row's kind.  A support
-    equal to the ground meets every minimal co-module."""
+def _shape_and_reversal(n: int, pairs: tuple, mask: int, hub: int,
+                        rows: list[int]) -> tuple[Shape, Reversal]:
+    """The ``Shape`` and ``Reversal`` every row reads, whatever its kind, of the
+    family with these sorted pairs, support mask, hub and out-rows.  The hub's
+    partners are the bits its pairs flip in its row of the total order.  A
+    support equal to the ground meets every minimal co-module."""
     ground = (1 << n) - 1
-    if shape[1] == ground and not shape[5]:
-        raise _invariant_broken(n, shape[0], "full support misses a minimal co-module")
-    rows = reversal_rows(n, shape[0])
-    return rows, module_rows(rows, ground)
+    transversal = is_order_transversal(n, mask)
+    if mask == ground and not transversal:
+        raise _invariant_broken(n, pairs, "full support misses a minimal co-module")
+    low = high = -1
+    if hub >= 0:
+        partners = rows[hub] ^ _order_rows(n)[hub]
+        low, high = (partners & -partners).bit_length() - 1, partners.bit_length() - 1
+    return (pairs, mask, hub, low, high, transversal), (rows, module_rows(rows, ground))
 
 
 def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
@@ -308,8 +308,8 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
         raise ValueError(
             f"{label} takes a family of kind {check.kind!r}, got {family.serialize()!r}"
         )
-    shape = _shape(n, family.pairs, family.mask, family._hub)
-    reversal = _reversal(n, shape)
+    rows = reversal_rows(n, family.pairs)
+    shape, reversal = _shape_and_reversal(n, family.pairs, family.mask, family._hub, rows)
     sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
     return TheoremInstance(n, family, *sides, details, n >= CHARACTERIZATION_MIN_N, label)
 
@@ -333,19 +333,18 @@ def _filed(labels: tuple[str, ...], n: int, shape: Shape, paired: bool):
 def _check_shard(plan: Plan, shard) -> tuple[int, list[TheoremInstance]]:
     """Rows checked on the mirror orbits in ``shard`` of the plan's walks, and the
     filed instances.  Each entry's sides are read once, and the ``Shape`` and
-    ``Reversal`` of each family ``_orbit_lead`` keeps once; only an orbit with a
-    filed row goes on."""
+    ``Reversal`` of each family ``_orbit_lead`` keeps once, from the out-rows
+    its walk carries; only an orbit with a filed row goes on."""
     checked, filed = 0, []
     for labels, spec in plan:
         n = spec.n
         sides = [_BY_LABEL[label].sides for label in labels]
-        for pairs, mask, hub in enumerate_families(spec, shard, leads=True):
+        for pairs, mask, hub, rows in enumerate_families(spec, shard, leads=True):
             paired = _orbit_lead(n, pairs, mask)
             if paired is None:
                 continue
             checked += len(labels) * (1 + paired)
-            shape = _shape(n, pairs, mask, hub)
-            reversal = _reversal(n, shape)
+            shape, reversal = _shape_and_reversal(n, pairs, mask, hub, rows)
             for side in sides:
                 lhs, rhs = side(n, shape, reversal)
                 if lhs != rhs:

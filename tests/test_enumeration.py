@@ -27,8 +27,9 @@ from revtour import (
     reverse_pairs,
     transitive,
 )
+from revtour.core import reversal_rows
 from revtour.enumeration import KINDS, _family_tuples, _pair_walk
-from revtour.pairs import mirror_pairs
+from revtour.pairs import _partners, mirror_pairs
 
 from oracles import (
     all_partial_pairings,
@@ -369,14 +370,18 @@ class TestDrainedWalk:
     def test_a_consumer_holds_one_subtree(self):
         # Held at once, the 83,520 tuples of n = 10 take about 20 MB, and
         # the largest one-pair subtree about 1.9 MB.  The largest depth-two
-        # subtree holds 708 families, and the drained walk peaks near 0.25 MB.
-        tracemalloc.start()
-        try:
-            drained = sum(1 for _ in _family_tuples(EnumSpec(10, "partial-quasi")))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert drained == 83520 and peak < 1 << 20, peak
+        # subtree holds 708 families.  The lead walk's 47,274 tuples each
+        # carry a copy of the out-rows, which live only as long as their
+        # subtree; each drained walk peaks below 0.5 MB.
+        for leads, families in ((False, 83520), (True, 47274)):
+            tracemalloc.start()
+            try:
+                spec = EnumSpec(10, "partial-quasi")
+                drained = sum(1 for _ in _family_tuples(spec, leads=leads))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert drained == families and peak < 1 << 20, (leads, peak)
 
 
 class TestLeadWalk:
@@ -407,6 +412,27 @@ class TestLeadWalk:
             assert all(mirror_pairs(n, pairs) < pairs for pairs in plain if pairs not in kept), n
             if not irreducible and n in self.LEADS[kind]:
                 assert len(leads) == self.LEADS[kind][n], n
+
+    @pytest.mark.parametrize("irreducible", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_carries_the_out_rows_of_each_family(self, kind, irreducible):
+        # Each family's own list, equal to the rows built from its pairs, in
+        # which the hub's row shows its two partners flipped.
+        filter = "irreducible-only" if irreducible else "all"
+        for n in range(11):
+            order = reversal_rows(n, ())
+            spec = EnumSpec(n, kind, filter, include_empty=True)
+            for k in range(1, 4):
+                for i in range(k):
+                    held = []
+                    for pairs, mask, hub, rows in _family_tuples(spec, (i, k), leads=True):
+                        assert rows == reversal_rows(n, pairs), (n, i, k, pairs)
+                        if spec.is_quasi:
+                            flipped = rows[hub] ^ order[hub]
+                            partners = (flipped & -flipped).bit_length() - 1, flipped.bit_length() - 1
+                            assert partners == _partners(pairs, hub), (n, i, k, pairs)
+                        held.append(rows)
+                    assert len({id(rows) for rows in held}) == len(held), (n, i, k)
 
 
 class TestIrreducibleCounts:

@@ -39,8 +39,7 @@ from revtour.theorems import (
     _c1,
     _check_shard,
     _reduced_c4,
-    _reversal,
-    _shape,
+    _shape_and_reversal,
     _theorem3_conditions,
     check_instance,
 )
@@ -55,6 +54,12 @@ from oracles import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def shape_and_reversal(n, family):
+    """What every row reads of ``family``, with its out-rows built apart from any walk."""
+    rows = reversal_rows(n, family.pairs)
+    return _shape_and_reversal(n, family.pairs, family.mask, family._hub, rows)
 
 
 def patch_sides(monkeypatch, **sides):
@@ -154,7 +159,7 @@ class TestTheorem3ConditionOracle:
         seen = 0
         for n in range(3, 10):
             for family in enumerate_families(EnumSpec(n, "partial-quasi")):
-                shape = _shape(n, family.pairs, family.mask, family._hub)
+                shape, _ = shape_and_reversal(n, family)
                 assert (_c1(shape), *_theorem3_conditions(n, shape)[:3]) == (
                     theorem3_conditions_by_sets(n, family.pairs)
                 ), family
@@ -164,7 +169,7 @@ class TestTheorem3ConditionOracle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_every_full_quasi_pairing_with_the_reduced_c4(self, n):
         for family in enumerate_families(EnumSpec(n, "quasi")):
-            shape = _shape(n, family.pairs, family.mask, family._hub)
+            shape, _ = shape_and_reversal(n, family)
             *conditions, adjacent = _theorem3_conditions(n, shape)
             hub = anatomy_by_sorting(family.pairs)[0]
             assert (_c1(shape), *conditions, _reduced_c4(n, hub, adjacent)) == (
@@ -245,8 +250,7 @@ class TestShortCircuitedSides:
     def test_sides_are_the_details_combined(self, label, n):
         check, whole = _BY_LABEL[label], (1 << n) - 1
         for family in enumerate_families(EnumSpec(n, check.kind)):
-            shape = _shape(n, family.pairs, family.mask, family._hub)
-            reversal = _reversal(n, shape)
+            shape, reversal = shape_and_reversal(n, family)
             sides, details = check.sides(n, shape, reversal), check.details(n, shape, reversal)
             rows, pairs = reversal[0], family.pairs
             indecomposable = indecomposable_by_pairs(rows, whole)
@@ -317,7 +321,7 @@ class TestVerifyRange:
     def test_workers_return_only_filed_instances(self, monkeypatch):
         def check_orbit(labels, n, pairs, paired):
             # A shard whose walk holds one mirror orbit, with ``pairs`` its first member.
-            node = walk_tuple(pairs)
+            node = (*walk_tuple(pairs), reversal_rows(n, pairs))
             monkeypatch.setattr(
                 "revtour.theorems.enumerate_families", lambda spec, shard, leads: iter([node])
             )
@@ -374,7 +378,7 @@ class TestVerifyRange:
         # T(9, Q) - d, is trivial there, and a deletion found indecomposable
         # settles rhs.
         whole, searches = (1 << 9) - 1, 0
-        for pairs, mask, _ in _family_tuples(EnumSpec(9, "quasi"), leads=True):
+        for pairs, mask, *_ in _family_tuples(EnumSpec(9, "quasi"), leads=True):
             if _orbit_lead(9, pairs, mask) is None:
                 continue
             rows = reversal_rows(9, pairs)
@@ -444,19 +448,19 @@ class TestVerifyRange:
     def test_families_are_checked_as_they_are_enumerated(self, monkeypatch, fake_shards, jobs):
         events = []
         real_walk = revtour.theorems.enumerate_families
-        real_rows = revtour.theorems.reversal_rows
+        real_search = revtour.theorems.module_rows
 
         def enumerating(spec, shard=(0, 1), leads=False):
             for node in real_walk(spec, shard, leads):
                 events.append("family")
                 yield node
 
-        def checking(n, pairs):
+        def checking(rows, ground):
             events.append("check")
-            return real_rows(n, pairs)
+            return real_search(rows, ground)
 
         monkeypatch.setattr("revtour.theorems.enumerate_families", enumerating)
-        monkeypatch.setattr("revtour.theorems.reversal_rows", checking)
+        monkeypatch.setattr("revtour.theorems.module_rows", checking)
         report = verify_range(3, 6, 6, jobs=jobs)
         assert report.checked == 240
         # The first family is checked before the second is enumerated.
@@ -669,7 +673,9 @@ class TestMirrorOrbits:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 "revtour.theorems.enumerate_families",
-                lambda spec, shard, leads: _family_tuples(spec, shard),
+                lambda spec, shard, leads: (
+                    (*node, reversal_rows(spec.n, node[0])) for node in _family_tuples(spec, shard)
+                ),
             )
             patch.setattr("revtour.theorems._orbit_lead", lambda n, pairs, mask: False)
             return report_doc(theorem)
@@ -762,7 +768,7 @@ class TestLeastPairOrbitTest:
             for k in range(1, 5):
                 for i in range(k):
                     kept = [
-                        (*node, lead) for node in _family_tuples(spec, (i, k), leads=True)
+                        (*node[:3], lead) for node in _family_tuples(spec, (i, k), leads=True)
                         if (lead := _orbit_lead(n, *node[:2])) is not None
                     ]
                     assert kept == [
@@ -985,13 +991,13 @@ class TestInvariants:
 
             __hash__ = int.__hash__
 
-        real = revtour.theorems._shape
+        real = revtour.theorems._shape_and_reversal
 
         def every_vertex_hub(*args):
-            pairs, mask, hub, *rest = real(*args)
-            return pairs, mask, EveryVertex(hub), *rest
+            (pairs, mask, hub, *rest), reversal = real(*args)
+            return (pairs, mask, EveryVertex(hub), *rest), reversal
 
-        monkeypatch.setattr("revtour.theorems._shape", every_vertex_hub)
+        monkeypatch.setattr("revtour.theorems._shape_and_reversal", every_vertex_hub)
         family = QuasiPairing(5, [(0, 2), (2, 3), (1, 4)])
         with pytest.raises(RuntimeError, match="n=5, pairs '0-2,1-4,2-3'.*endpoint"):
             check_instance("theorem3", 5, family)
@@ -1051,14 +1057,14 @@ class TestInvariants:
 
                 __hash__ = int.__hash__
 
-            real = theorems._shape
+            real = theorems._shape_and_reversal
 
             def every_vertex_hub(*args):
-                pairs, mask, hub, *rest = real(*args)
-                return pairs, mask, EveryVertex(hub), *rest
+                (pairs, mask, hub, *rest), reversal = real(*args)
+                return (pairs, mask, EveryVertex(hub), *rest), reversal
 
             print(len(theorems.verify_range(3, 5, 5).violations))
-            theorems._shape = every_vertex_hub
+            theorems._shape_and_reversal = every_vertex_hub
             try:
                 theorems.verify_range(3, 5, 5)
             except RuntimeError as exc:
