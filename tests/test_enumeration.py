@@ -373,10 +373,10 @@ class TestDrainedWalk:
         # subtree holds 708 families.  The lead walk's 47,274 tuples each
         # carry a copy of the out-rows, which live only as long as their
         # subtree; each drained walk peaks below 0.5 MB.
+        spec = EnumSpec(10, "partial-quasi")
         for leads, families in ((False, 83520), (True, 47274)):
             tracemalloc.start()
             try:
-                spec = EnumSpec(10, "partial-quasi")
                 drained = sum(1 for _ in _family_tuples(spec, leads=leads))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
