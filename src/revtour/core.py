@@ -304,11 +304,20 @@ def module_rows(rows: list[int], ground: int) -> int:
     For v < w the two least ground vertices, a nontrivial module holds
     both, and so their closure, or it avoids v or w, and the refinement
     from that vertex finds one.  The closure reads each member's row once
-    and the refinement tries each vertex once per part.  A screen comes first:
-    two ground-consecutive vertices that no other one tells apart are returned."""
+    and the refinement tries each vertex once per part.  Two constant-time
+    tests come first: when v beats all of the ground, or the greatest ground
+    vertex t is beaten by all of it, the ground less v, or less t, is a
+    module.  Over a reversed order these are the supports that miss {0} or
+    {n-1}.  Then a screen: two ground-consecutive vertices that no other one
+    tells apart are returned."""
     if ground.bit_count() < 3:
         return 0
     v = ground & -ground
+    if rows[v.bit_length() - 1] & ground | v == ground:
+        return ground ^ v
+    top = ground.bit_length() - 1
+    if not rows[top] & ground:
+        return ground ^ 1 << top
     w = (ground ^ v) & -(ground ^ v)
     x, rest = v, ground ^ v
     while rest:

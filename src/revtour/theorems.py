@@ -205,6 +205,11 @@ def _theorem3_conditions(n: int, shape: Shape) -> tuple[bool, bool, bool, int]:
 
 
 def _theorem3_sides(n: int, shape: Shape, reversal: Reversal) -> Sides:
+    """(lhs, rhs) of theorem 3 and corollary 3.  rhs is a conjunction of pure
+    tests, so a support that is not transversal, which fails (C1), settles it
+    before (C2)-(C4) are read; a full support is always transversal."""
+    if not shape[5]:
+        return not reversal[1], False
     c2, c3, c4, adjacent = _theorem3_conditions(n, shape)
     # On full support corollary 3's reduced (C4) must agree with (C4).
     if shape[1] == (1 << n) - 1 and _reduced_c4(n, shape[2], adjacent) != c4:
@@ -293,13 +298,17 @@ def check_instance(label: str, n: int, family: PairFamily) -> TheoremInstance:
     pairing, "theorem2" and "theorem3" a partial quasi-pairing,
     "corollary1" a pairing and "corollary2" and "corollary3" a
     quasi-pairing, both on all of 0..n-1.  ValueError for an unknown
-    label, a family over another ground set or one of another kind.
-    ``in_hypothesis`` is False below n = 5, where the characterizations
-    are not stated; the instance is computed all the same.
+    label, a family over another ground set or one of another kind, and
+    below n = 3, where the transversal test starts, the limit ``verify
+    --theorem 1`` states too.  ``in_hypothesis`` is False below n = 5,
+    where the characterizations are not stated; from n = 3 the instance
+    is computed all the same.
     """
     if label not in _BY_LABEL:
         raise ValueError(f"unknown row {label!r}, want one of {tuple(_BY_LABEL)}")
     _same_size(n, family)
+    if n < 3:
+        raise ValueError(f"{label} is checked from n = 3, got n = {n}")
     check = _BY_LABEL[label]
     spec = EnumSpec(n, check.kind)
     full = family.mask if spec.is_partial else (1 << n) - 1

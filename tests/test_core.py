@@ -278,10 +278,14 @@ class TestRowPath:
 
 class TestFixedVertex:
     """For v < w the two least ground vertices, one case per search of
-    ``module_rows``: the closure of {v, w}, and the refinement from v and
-    from w each find the one nontrivial module of a case that no other
-    search finds.  The screen is never the only search that finds a module:
-    its pair avoids v, or avoids w, or is {v, w}."""
+    ``module_rows`` past its end test and screen: the closure of {v, w},
+    and the refinement from v and from w each find the one nontrivial
+    module of a case that neither of the other two finds.  In the first two
+    cases the end test of ``module_rows`` returns that module before any of
+    them runs: 3 is beaten by all in T(4, {(0, 2)}), and 0 beats all in
+    T(4, {(1, 3)}); ``TestModuleRows::test_module_of_each_stage`` has cases
+    with both ends in the support.  The screen is never the only search
+    that finds a module: its pair avoids v, or avoids w, or is {v, w}."""
 
     GROUND = 0b1111
 
@@ -319,18 +323,20 @@ class TestFixedVertex:
         assert self.searches([(0, 2), (1, 3)]) == (self.GROUND, 0, 0b1001)
 
     def test_screen_reads_only_the_twin_rows(self):
-        # 0 and 1 are consecutive twins, so the screen stops at their rows;
-        # they are v and w, so the closure of {v, w} would find them too.
-        read = set()
+        # Both ends lie in the support, so the end test reads the rows of 0
+        # and 5 and passes.  0 and 1 are consecutive twins, so the screen
+        # stops at their rows; they are v and w, so the closure of {v, w}
+        # would find them too.
+        read = []
 
         class Rows(list):
             def __getitem__(self, v):
-                read.add(v)
+                read.append(v)
                 return super().__getitem__(v)
 
-        rows = Rows(reversal_rows(6, [(2, 5), (3, 4)]))
+        rows = Rows(reversal_rows(6, [(0, 3), (1, 3), (2, 5)]))
         assert not is_indecomposable_rows(rows, 0b111111)
-        assert read == {0, 1}
+        assert read == [0, 5, 0, 1]
         assert _closure_mask(rows, 0b111111, 0b000011) == 0b000011
 
     def test_every_reversal_and_deletion_to_eight_points(self):
@@ -405,20 +411,54 @@ class TestModuleRows:
             assert verdicts == {False, True}, n
 
     def test_module_of_each_stage(self):
-        # The screen's twins, the closure of {v, w}, then the refinement
-        # from v and from w, on the cases above.
-        assert module_rows(reversal_rows(6, [(2, 5), (3, 4)]), 0b111111) == 0b000011
-        assert module_rows(reversal_rows(4, [(0, 2)]), 0b1111) == 0b0111
+        # The end test, at the least vertex, a source, and at the greatest, a sink.
         assert module_rows(reversal_rows(4, [(1, 3)]), 0b1111) == 0b1110
+        assert module_rows(reversal_rows(4, [(0, 2)]), 0b1111) == 0b0111
+        # With both ends in the support: the screen's twins, the closure of
+        # {v, w}, then the refinement from v and from w, each the only one of
+        # the four to find the module of its case.
+        assert module_rows(reversal_rows(6, [(0, 3), (1, 3), (2, 5)]), 0b111111) == 0b000011
+        assert module_rows(reversal_rows(4, [(0, 3), (2, 3)]), 0b1111) == 0b1011
+        assert module_rows(reversal_rows(4, [(0, 2), (2, 3)]), 0b1111) == 0b1010
         assert module_rows(reversal_rows(4, [(0, 2), (1, 3)]), 0b1111) == 0b1001
         assert module_rows(reversal_rows(5, [(0, 2), (1, 4)]), 0b11111) == 0
 
     def test_screen_comes_before_the_closure(self):
-        # {3, 4} are twins, but {0, 1, 2} is a 3-cycle, the closure of
-        # {v, w}: only the screen returns the twins.
-        rows = reversal_rows(5, [(0, 2)])
+        # Both ends lie in the support.  {3, 4} are twins, but {0, 1, 2} is
+        # a 3-cycle, the closure of {v, w}: only the screen returns the twins.
+        rows = reversal_rows(5, [(0, 2), (3, 4)])
         assert _closure_mask(rows, 0b11111, 0b00011) == 0b00111
         assert module_rows(rows, 0b11111) == 0b11000
+
+    def test_an_end_vertex_leaves_the_rest_a_module(self):
+        # Drawn tournaments, on the whole ground and less a drawn vertex: a
+        # source planted at the least ground vertex, or a sink at the
+        # greatest under a least vertex that is no source, and the rest of
+        # the ground is the module returned.
+        rng = random.Random(32)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            drawn = _out_rows(Tournament(n, rng.getrandbits(pair_count(n))))
+            whole = (1 << n) - 1
+            for ground in (whole, whole ^ 1 << rng.randrange(n)):
+                members = list(_mask_vertices(ground))
+                if len(members) < 3:
+                    continue
+                for end in (members[0], members[-1]):
+                    rows = list(drawn)
+                    if end == members[-1]:  # the second ground vertex beats the least
+                        rows[members[1]] |= 1 << members[0]
+                        rows[members[0]] &= ~(1 << members[1])
+                    for u in members:
+                        if u != end:  # the least beats u, u beats the greatest
+                            x, y = (end, u) if end == members[0] else (u, end)
+                            rows[x] |= 1 << y
+                            rows[y] &= ~(1 << x)
+                    module = module_rows(rows, ground)
+                    assert module == ground ^ 1 << end, (n, drawn, ground, end)
+                    # Vertices off the ground, with empty rows, see every set alike.
+                    inside = [r if ground >> v & 1 else 0 for v, r in enumerate(rows)]
+                    assert _is_module_mask(inside, n, module), (n, drawn, ground, end)
 
 
 class TestOnePassKernels:

@@ -103,6 +103,15 @@ class TestTheorem1:
         with pytest.raises(ValueError):
             check_instance("theorem1", 5, PairFamily(5, [(0, 2), (2, 4)]))
 
+    @pytest.mark.parametrize("n, family", [
+        (0, Pairing(0, [])), (1, Pairing(1, [])), (2, Pairing(2, [])), (2, Pairing(2, [(0, 1)])),
+    ])
+    def test_rows_start_at_three_vertices(self, n, family):
+        # The transversal test starts at n = 3, the limit verify --theorem 1 states.
+        for label in ("theorem1", "corollary1"):
+            with pytest.raises(ValueError, match=f"^{label} is checked from n = 3, got n = {n}$"):
+                check_instance(label, n, family)
+
 
 class TestTheorem2:
     def test_missing_left_end_fails_both_sides(self):
@@ -397,6 +406,24 @@ class TestVerifyRange:
         assert report.checked == 2 * 3780
         assert calls["module_rows"] == [whole] * 1904
         assert len(calls["is_indecomposable_rows"]) == searches
+
+    def test_theorem2_deletion_searches_at_nine(self, monkeypatch):
+        # Per orbit the rhs tries the deletions only when T(9, Q) has a module
+        # M, and searches T(9, Q) - d only when M - d is trivial there.  A
+        # support that misses {0} or {8} leaves M the ground less that end,
+        # so neither deletion of a partner inside M is searched.
+        calls = {"_deletion_indecomposable": 0, "is_indecomposable_rows": 0}
+        for name in calls:
+            real = getattr(revtour.theorems, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(f"revtour.theorems.{name}", counting)
+        report = verify_range(2, 9, 9)
+        assert report.passed and report.checked == 19_152
+        assert calls == {"_deletion_indecomposable": 16_380, "is_indecomposable_rows": 1_414}
 
     def test_corollary_rows_share_one_enumeration(self, monkeypatch):
         enumerated = []
@@ -1047,6 +1074,8 @@ class TestInvariants:
 
     def test_c4_endpoint_raises_under_optimize_where_nothing_is_filed(self):
         # Theorem 3 at n = 5 files no row, so only the sides see the broken hub.
+        # They read (C4) only on a transversal support, so the first family
+        # to raise is not '0-1,1-2', whose support misses {4}.
         out = optimized_stdout("""
             import sys
             import revtour.theorems as theorems
@@ -1071,7 +1100,8 @@ class TestInvariants:
                 print(sys.flags.optimize, exc)
         """)
         assert out == (
-            "0\n1 invariant broken at n=5, pairs '0-1,1-2': (C4) holds with the hub at an endpoint\n"
+            "0\n1 invariant broken at n=5, pairs '0-1,1-3,2-4': (C4) holds with the hub at an"
+            " endpoint\n"
         )
 
     def test_mirror_invariant_raises_under_optimize(self):
